@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .image import validate_image
-from .roi import RoiMask, centroid_radial_lengths
+from .roi import _LABELS, RoiMask, centroid_radial_lengths
 
 FEATURE_NAMES = [
     "ar", "rd", "cp", "rg", "cr", "energy", "homogeneity", "correlation", "ac",
@@ -236,12 +236,23 @@ def write_feature_csv(rows: list[tuple[str, FeatureVector, str]]) -> str:
 
 
 def read_feature_csv(text: str) -> list[tuple[str, FeatureVector, str]]:
+    """Parse ``write_feature_csv`` output; labels must be benign, malignant
+    or unknown. Any malformed input raises ``ValueError`` naming its 1-based
+    line."""
     reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != FEATURE_CSV_FIELDS:
-        raise ValueError(f"bad feature CSV header {header}")
     rows = []
-    for rec in reader:
-        fv = FeatureVector(*(float(v) for v in rec[1:10]))
-        rows.append((rec[0], fv, rec[10]))
+    try:
+        header = next(reader, None)
+        if header != FEATURE_CSV_FIELDS:
+            raise ValueError(
+                "empty feature CSV" if header is None else f"bad feature CSV header {header}"
+            )
+        for rec in reader:
+            if len(rec) != len(FEATURE_CSV_FIELDS):
+                raise ValueError(f"expected {len(FEATURE_CSV_FIELDS)} fields, got {len(rec)}")
+            if rec[10] not in _LABELS:
+                raise ValueError(f"bad label {rec[10]!r}")
+            rows.append((rec[0], FeatureVector(*(float(v) for v in rec[1:10])), rec[10]))
+    except (ValueError, csv.Error) as exc:
+        raise ValueError(f"line {max(reader.line_num, 1)}: {exc}") from None
     return rows

@@ -62,7 +62,8 @@ def _read_int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
 def read_pgm(data: bytes) -> np.ndarray:
     """Parse a binary (P5) PGM byte stream into a uint8 image.
 
-    Only maxval <= 255 is accepted; ASCII (P2) files are rejected.
+    Only maxval <= 255 is accepted, and no sample may exceed it; ASCII (P2)
+    files are rejected.
     """
     if data[:2] == b"P2":
         raise PgmParseError("ASCII PGM (P2) is not supported, need binary P5", 0)
@@ -88,7 +89,13 @@ def read_pgm(data: bytes) -> np.ndarray:
             f"truncated payload, expected {need} bytes got {len(payload)}",
             pos + len(payload),
         )
-    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width).copy()
+    samples = np.frombuffer(payload, dtype=np.uint8)
+    over = np.flatnonzero(samples > maxval)
+    if over.size:
+        raise PgmParseError(
+            f"sample {samples[over[0]]} exceeds maxval {maxval}", pos + int(over[0])
+        )
+    return samples.reshape(height, width).copy()
 
 
 def write_pgm(img: np.ndarray) -> bytes:

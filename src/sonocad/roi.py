@@ -13,9 +13,7 @@ import numpy as np
 from scipy import ndimage
 
 from .image import validate_image, write_pgm
-from .slic import SuperpixelLabeling, adjacency
-
-_FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+from .slic import _FOUR_CONNECTED, SuperpixelLabeling, adjacency
 
 # Moore neighborhood in clockwise order (y axis points down): W NW N NE E SE S SW
 _MOORE = [(-1, 0), (-1, -1), (0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1)]

@@ -215,80 +215,92 @@ def _drop_empty(labels: np.ndarray) -> np.ndarray:
 
 
 def _components(labels: np.ndarray) -> tuple[np.ndarray, int]:
-    # Unique id per (label, 4-connected component) pair, ids in scan order.
-    comp = np.full(labels.shape, -1, dtype=np.int32)
+    # Unique id per (label, 4-connected component) pair: grouped by label,
+    # in scan order within a label. Each label is searched only inside its
+    # bounding box.
+    comp = np.empty(labels.shape, dtype=np.int32)
     next_id = 0
-    for lab in np.unique(labels):
-        cc, n = ndimage.label(labels == lab, structure=_FOUR_CONNECTED)
-        comp[cc > 0] = cc[cc > 0] + next_id - 1
+    for lab, box in enumerate(ndimage.find_objects(labels + 1)):
+        if box is None:
+            continue
+        own = labels[box] == lab
+        cc, n = ndimage.label(own, structure=_FOUR_CONNECTED)
+        comp[box][own] = cc[own] + next_id - 1
         next_id += n
     return comp, next_id
+
+
+def _neighbour_pairs(ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    # Distinct (a, b) with a != b 4-adjacent somewhere in ``ids`` (values in
+    # [0, n)), each pair in both directions, sorted by a then b.
+    a = np.concatenate([ids[:, :-1].ravel(), ids[:-1, :].ravel()]).astype(np.int64)
+    b = np.concatenate([ids[:, 1:].ravel(), ids[1:, :].ravel()]).astype(np.int64)
+    diff = a != b
+    a, b = a[diff], b[diff]
+    keys = np.unique(np.concatenate([a * n + b, b * n + a]))
+    return keys // n, keys % n
 
 
 def _enforce_connectivity(labels: np.ndarray, min_size: int) -> np.ndarray:
     """Make every label's pixel set one 4-connected component.
 
-    Per original label, the largest component keeps the label; smaller
-    components below ``min_size`` are absorbed into the adjacent kept region
-    with the largest area, and larger stray components become new labels
-    appended after the existing ones.
+    ``labels`` holds non-negative ints. Per label, the largest 4-connected
+    component keeps the label (ties: the component whose first pixel comes
+    first in row-major scan order). Every other component of at least
+    ``min_size`` pixels becomes a new label, numbered from ``labels.max() + 1``
+    in order of (original label, size descending, first pixel).
+
+    The remaining fragments merge in rounds. A round visits the pending
+    fragments in scan order of their first pixel; each one takes, among the
+    current labels of its 4-adjacent pixels, the one with the largest
+    current area (ties: the lower label), and that label's area grows by the
+    fragment's size at once, so later visits in the round see it. A fragment
+    with no labelled neighbour yet waits for the next round. Labels are
+    renumbered densely at the end, keeping their order.
     """
     comp, n_comp = _components(labels)
     sizes = np.bincount(comp.ravel(), minlength=n_comp)
-    comp_label = np.full(n_comp, -1, dtype=np.int64)
-    # first pixel of each component, for deterministic ordering
-    order = np.full(n_comp, -1, dtype=np.int64)
-    flat_comp = comp.ravel()
-    seen_pos = np.full(n_comp, False)
-    for pos, cid in enumerate(flat_comp):
-        if not seen_pos[cid]:
-            seen_pos[cid] = True
-            order[cid] = pos
-    for pos, cid in enumerate(flat_comp):
-        if comp_label[cid] < 0:
-            comp_label[cid] = labels.ravel()[pos]
+    _, first = np.unique(comp, return_index=True)  # first pixel of each component
+    comp_label = labels.ravel()[first].astype(np.int64)
 
+    ranked = np.lexsort((first, -sizes, comp_label))
+    is_kept = np.ones(n_comp, dtype=bool)
+    is_kept[1:] = comp_label[ranked[1:]] != comp_label[ranked[:-1]]
+    kept, rest = ranked[is_kept], ranked[~is_kept]
+    promoted = rest[sizes[rest] >= min_size]
     next_label = int(labels.max()) + 1
     final = np.full(n_comp, -1, dtype=np.int64)  # -1 = pending merge
-    for lab in range(int(labels.max()) + 1):
-        cids = np.nonzero(comp_label == lab)[0]
-        if len(cids) == 0:
-            continue
-        # largest first, ties by scan order of the first pixel
-        cids = sorted(cids, key=lambda c: (-sizes[c], order[c]))
-        final[cids[0]] = lab
-        for cid in cids[1:]:
-            if sizes[cid] >= min_size:
-                final[cid] = next_label
-                next_label += 1
+    final[kept] = comp_label[kept]
+    final[promoted] = np.arange(next_label, next_label + len(promoted))
 
-    out = final[comp]
-    pending = [int(c) for c in np.nonzero(final < 0)[0]]
-    pending.sort(key=lambda c: order[c])
-    h, w = labels.shape
+    # component adjacency in CSR form: neighbours of c are dst[ptr[c]:ptr[c + 1]]
+    src, dst = _neighbour_pairs(comp, n_comp)
+    ptr = np.searchsorted(src, np.arange(n_comp + 1)).tolist()
+    dst = dst.tolist()
+    labelled = final >= 0
+    area = np.bincount(
+        final[labelled], weights=sizes[labelled], minlength=next_label + len(promoted)
+    ).astype(np.int64).tolist()
+    current = final.tolist()
+    size_of = sizes.tolist()
+    pending = np.nonzero(~labelled)[0]
+    pending = pending[np.argsort(first[pending])].tolist()
+    # The pixel grid is connected and every label keeps a component, so some
+    # pending fragment touches a labelled one: each round merges at least one
+    # fragment and the loop ends.
     while pending:
-        progressed = False
         deferred = []
         for cid in pending:
-            mask = comp == cid
-            dil = ndimage.binary_dilation(mask, structure=_FOUR_CONNECTED) & ~mask
-            neigh = out[dil]
-            neigh = neigh[neigh >= 0]
-            if neigh.size == 0:
+            cand = {current[d] for d in dst[ptr[cid] : ptr[cid + 1]]}
+            cand.discard(-1)
+            if not cand:
                 deferred.append(cid)
                 continue
-            cand, cnts = np.unique(neigh, return_counts=True)
-            areas = np.array([(out == c).sum() for c in cand])
-            best = cand[np.lexsort((cand, -areas))[0]]
-            out[mask] = best
-            progressed = True
-        if deferred and not progressed:
-            # isolated group of small fragments: promote the first
-            cid = deferred.pop(0)
-            out[comp == cid] = next_label
-            next_label += 1
+            best = min(cand, key=lambda lab: (-area[lab], lab))
+            current[cid] = best
+            area[best] += size_of[cid]
         pending = deferred
-    return _drop_empty(out.astype(np.int32))
+    return _drop_empty(np.array(current, dtype=np.int32)[comp])
 
 
 def _recompute_centers(labels, l_plane, xs, ys) -> np.ndarray:
@@ -306,11 +318,9 @@ def adjacency(labeling: SuperpixelLabeling | np.ndarray) -> dict[int, set[int]]:
     labels = labeling.labels if isinstance(labeling, SuperpixelLabeling) else labeling
     k = int(labels.max()) + 1
     neigh: dict[int, set[int]] = {i: set() for i in range(k)}
-    for a, b in ((labels[:, :-1], labels[:, 1:]), (labels[:-1, :], labels[1:, :])):
-        diff = a != b
-        for u, v in zip(a[diff].ravel(), b[diff].ravel()):
-            neigh[int(u)].add(int(v))
-            neigh[int(v)].add(int(u))
+    src, dst = _neighbour_pairs(labels, k)
+    for u, v in zip(src.tolist(), dst.tolist()):
+        neigh[u].add(v)
     return neigh
 
 

@@ -53,6 +53,26 @@ class TestUsage:
         rc = main(["preprocess", str(bad), str(tmp_path / "out.pgm")])
         assert rc == 2
 
+    def test_sample_above_maxval_is_parse_error(self, tmp_path):
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(b"P5\n2 1\n100\n\x10\xff")
+        rc = main(["preprocess", str(bad), str(tmp_path / "out.pgm")])
+        assert rc == 2
+
+    @pytest.mark.parametrize("command", ["train", "gridsearch"])
+    @pytest.mark.parametrize("text", [
+        "",
+        "image,ar,rd,cp,rg,cr,energy,homogeneity,correlation,ac,label\n"
+        "a.pgm,1,0.9,0.006,0.02,3.5,0.4,0.8,0.1,1.2,benign\n"
+        "b.pgm,1,0.9,0.006\n",
+    ], ids=["empty", "truncated_row"])
+    def test_bad_feature_csv_is_parse_error(self, tmp_path, capsys, command, text):
+        feats = tmp_path / "features.csv"
+        feats.write_text(text)
+        rc = main([command, str(feats), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "line " in capsys.readouterr().err
+
 
 class TestPreprocess:
     def test_writes_equalized_image(self, dataset_dir, tmp_path):

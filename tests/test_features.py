@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sonocad import features as feat
 from sonocad import image, phantom, roi
@@ -314,3 +316,41 @@ class TestFeatureCsv:
         assert text.splitlines()[0] == (
             "image,ar,rd,cp,rg,cr,energy,homogeneity,correlation,ac,label"
         )
+
+    def test_empty_text_names_line_1(self):
+        with pytest.raises(ValueError, match="line 1"):
+            feat.read_feature_csv("")
+
+    def test_truncated_row_names_its_line(self):
+        fv = feat.FeatureVector(1.0, 0.9, 0.006, 0.02, 3.5, 0.4, 0.8, 0.1, 1.2)
+        text = feat.write_feature_csv([("a.pgm", fv, "benign")]) + "b.pgm,1.0,0.9\n"
+        with pytest.raises(ValueError, match="line 3"):
+            feat.read_feature_csv(text)
+
+    def test_bad_number_names_its_line(self):
+        fv = feat.FeatureVector(1.0, 0.9, 0.006, 0.02, 3.5, 0.4, 0.8, 0.1, 1.2)
+        text = feat.write_feature_csv([("a.pgm", fv, "benign")]).replace("3.5", "x")
+        with pytest.raises(ValueError, match="line 2"):
+            feat.read_feature_csv(text)
+
+    def test_unknown_label_names_its_line(self):
+        # a misspelled class must not silently count as benign
+        fv = feat.FeatureVector(1.0, 0.9, 0.006, 0.02, 3.5, 0.4, 0.8, 0.1, 1.2)
+        text = feat.write_feature_csv([("a.pgm", fv, "benign"), ("b.pgm", fv, "Malignant")])
+        with pytest.raises(ValueError, match="line 3"):
+            feat.read_feature_csv(text)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_fuzz_only_value_error_escapes(self, data):
+        header = ",".join(feat.FEATURE_CSV_FIELDS) + "\n"
+        cell = st.one_of(st.text(max_size=6), st.floats().map(repr), st.just("1.0"))
+        row = st.lists(cell, max_size=13).map(",".join)
+        body = data.draw(st.lists(row, max_size=4).map("\n".join))
+        text = data.draw(st.sampled_from(["", header])) + body
+        if data.draw(st.booleans()):
+            text = data.draw(st.text(max_size=40))
+        try:
+            feat.read_feature_csv(text)
+        except ValueError:
+            pass

@@ -29,6 +29,15 @@ class TestPgm:
         with pytest.raises(image.PgmParseError):
             image.read_pgm(b"P5\n1 1\n65535\n\x00\x00")
 
+    def test_sample_above_maxval_rejected(self):
+        with pytest.raises(image.PgmParseError) as exc:
+            image.read_pgm(b"P5\n3 1\n15\n\x0f\x00\x10")
+        assert exc.value.offset == len(b"P5\n3 1\n15\n") + 2
+
+    def test_samples_up_to_maxval_accepted(self):
+        img = image.read_pgm(b"P5\n2 1\n15\n\x00\x0f")
+        assert list(img.ravel()) == [0, 15]
+
     def test_comments_skipped(self):
         img = image.read_pgm(b"P5\n# a comment\n1 1\n255\n\x2a")
         assert img[0, 0] == 42

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
-from sonocad import image
+from sonocad import image, phantom
+from sonocad.config import PipelineConfig
 from sonocad.slic import (
     SlicParams,
+    _enforce_connectivity,
     adjacency,
     distance,
     export_labeling,
@@ -169,3 +173,124 @@ class TestExport:
         lines = sidecar.strip().split("\n")
         assert len(lines) == labeling.n_labels
         assert lines[0].split()[0] == "0"
+
+
+# Reference implementation: the original per-fragment dilate-and-rescan
+# connectivity enforcement, kept here verbatim (with its helpers) as the
+# oracle for the graph-based one in sonocad.slic.
+_FOUR_CONNECTED = FOUR
+
+
+def _drop_empty(labels: np.ndarray) -> np.ndarray:
+    present = np.unique(labels)
+    lut = np.full(present.max() + 1, -1, dtype=np.int32)
+    lut[present] = np.arange(len(present), dtype=np.int32)
+    return lut[labels]
+
+
+def _components(labels: np.ndarray) -> tuple[np.ndarray, int]:
+    # Unique id per (label, 4-connected component) pair, ids in scan order.
+    comp = np.full(labels.shape, -1, dtype=np.int32)
+    next_id = 0
+    for lab in np.unique(labels):
+        cc, n = ndimage.label(labels == lab, structure=_FOUR_CONNECTED)
+        comp[cc > 0] = cc[cc > 0] + next_id - 1
+        next_id += n
+    return comp, next_id
+
+
+def _oracle_enforce_connectivity(labels: np.ndarray, min_size: int) -> np.ndarray:
+    """Make every label's pixel set one 4-connected component.
+
+    Per original label, the largest component keeps the label; smaller
+    components below ``min_size`` are absorbed into the adjacent kept region
+    with the largest area, and larger stray components become new labels
+    appended after the existing ones.
+    """
+    comp, n_comp = _components(labels)
+    sizes = np.bincount(comp.ravel(), minlength=n_comp)
+    comp_label = np.full(n_comp, -1, dtype=np.int64)
+    # first pixel of each component, for deterministic ordering
+    order = np.full(n_comp, -1, dtype=np.int64)
+    flat_comp = comp.ravel()
+    seen_pos = np.full(n_comp, False)
+    for pos, cid in enumerate(flat_comp):
+        if not seen_pos[cid]:
+            seen_pos[cid] = True
+            order[cid] = pos
+    for pos, cid in enumerate(flat_comp):
+        if comp_label[cid] < 0:
+            comp_label[cid] = labels.ravel()[pos]
+
+    next_label = int(labels.max()) + 1
+    final = np.full(n_comp, -1, dtype=np.int64)  # -1 = pending merge
+    for lab in range(int(labels.max()) + 1):
+        cids = np.nonzero(comp_label == lab)[0]
+        if len(cids) == 0:
+            continue
+        # largest first, ties by scan order of the first pixel
+        cids = sorted(cids, key=lambda c: (-sizes[c], order[c]))
+        final[cids[0]] = lab
+        for cid in cids[1:]:
+            if sizes[cid] >= min_size:
+                final[cid] = next_label
+                next_label += 1
+
+    out = final[comp]
+    pending = [int(c) for c in np.nonzero(final < 0)[0]]
+    pending.sort(key=lambda c: order[c])
+    h, w = labels.shape
+    while pending:
+        progressed = False
+        deferred = []
+        for cid in pending:
+            mask = comp == cid
+            dil = ndimage.binary_dilation(mask, structure=_FOUR_CONNECTED) & ~mask
+            neigh = out[dil]
+            neigh = neigh[neigh >= 0]
+            if neigh.size == 0:
+                deferred.append(cid)
+                continue
+            cand, cnts = np.unique(neigh, return_counts=True)
+            areas = np.array([(out == c).sum() for c in cand])
+            best = cand[np.lexsort((cand, -areas))[0]]
+            out[mask] = best
+            progressed = True
+        if deferred and not progressed:
+            # isolated group of small fragments: promote the first
+            cid = deferred.pop(0)
+            out[comp == cid] = next_label
+            next_label += 1
+        pending = deferred
+    return _drop_empty(out.astype(np.int32))
+
+
+class TestEnforceConnectivityMatchesOracle:
+    @pytest.mark.parametrize("speckle", [0.0, 0.03, 0.06])
+    def test_phantom_labels_bit_identical(self, speckle):
+        cfg = PipelineConfig()
+        for _, case in phantom.generate_dataset(1, 1, seed=11, speckle_sigma=speckle):
+            pre = image.preprocess(case.image)
+            raw = slic(pre, cfg.slic_params(), enforce=False)
+            min_size = round(raw.step) ** 2 // 4
+            expected = _oracle_enforce_connectivity(raw.labels, min_size)
+            got = _enforce_connectivity(raw.labels, min_size)
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+            assert np.array_equal(slic(pre, cfg.slic_params()).labels, expected)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_label_maps_bit_identical(self, data):
+        h = data.draw(st.integers(1, 12), label="h")
+        w = data.draw(st.integers(1, 12), label="w")
+        k = data.draw(st.integers(1, 6), label="k")
+        vals = data.draw(st.lists(st.integers(0, k - 1), min_size=h * w, max_size=h * w))
+        labels = np.array(vals, dtype=np.int32).reshape(h, w)
+        block = data.draw(st.integers(1, 3), label="block")
+        labels = np.repeat(np.repeat(labels, block, axis=0), block, axis=1)
+        min_size = data.draw(st.sampled_from([0, 1, 4, labels.size + 1]), label="min_size")
+        expected = _oracle_enforce_connectivity(labels, min_size)
+        got = _enforce_connectivity(labels, min_size)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
