@@ -60,10 +60,12 @@ def _read_int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
 
 
 def read_pgm(data: bytes) -> np.ndarray:
-    """Parse a binary (P5) PGM byte stream into a uint8 image.
+    """Parse a binary (P5) PGM byte stream into a uint8 image on 0..255.
 
     Only maxval <= 255 is accepted, and no sample may exceed it; ASCII (P2)
-    files are rejected.
+    files are rejected. A sample v is rescaled to round(v * 255 / maxval),
+    halves rounding up, so maxval 255 reads unchanged and a sample equal to
+    maxval reads as 255.
     """
     if data[:2] == b"P2":
         raise PgmParseError("ASCII PGM (P2) is not supported, need binary P5", 0)
@@ -95,7 +97,8 @@ def read_pgm(data: bytes) -> np.ndarray:
         raise PgmParseError(
             f"sample {samples[over[0]]} exceeds maxval {maxval}", pos + int(over[0])
         )
-    return samples.reshape(height, width).copy()
+    scaled = (samples.astype(np.uint32) * 255 + maxval // 2) // maxval
+    return scaled.astype(np.uint8).reshape(height, width)
 
 
 def write_pgm(img: np.ndarray) -> bytes:
@@ -103,36 +106,6 @@ def write_pgm(img: np.ndarray) -> bytes:
     img = validate_image(img)
     h, w = img.shape
     return f"P5\n{w} {h}\n255\n".encode("ascii") + img.tobytes()
-
-
-def read_pgm16(data: bytes) -> np.ndarray:
-    """Parse a P5 stream with maxval 65535 (big-endian) into a uint16 array.
-
-    Used for superpixel label maps, not for images.
-    """
-    if data[:2] != b"P5":
-        raise PgmParseError(f"bad magic {data[:2]!r}, expected b'P5'", 0)
-    width, pos = _read_int_token(data, 2, "width")
-    height, pos = _read_int_token(data, pos, "height")
-    maxval, pos = _read_int_token(data, pos, "maxval")
-    if maxval != 65535:
-        raise PgmParseError(f"expected maxval 65535, got {maxval}", pos)
-    pos += 1
-    need = width * height * 2
-    payload = data[pos : pos + need]
-    if len(payload) < need:
-        raise PgmParseError("truncated payload", pos + len(payload))
-    return np.frombuffer(payload, dtype=">u2").reshape(height, width).astype(np.uint16)
-
-
-def write_pgm16(raster: np.ndarray) -> bytes:
-    """Serialize a uint16 array as P5 with maxval 65535, big-endian samples."""
-    raster = np.asarray(raster)
-    if raster.ndim != 2 or raster.size == 0:
-        raise ValueError("expected a nonempty 2-D array")
-    h, w = raster.shape
-    header = f"P5\n{w} {h}\n65535\n".encode("ascii")
-    return header + raster.astype(">u2").tobytes()
 
 
 def histogram_equalize(img: np.ndarray) -> np.ndarray:

@@ -51,18 +51,16 @@ class BatchResult:
     errors: list[tuple[str, str, str]]  # (case, stage, message)
 
 
-def extract_batch(annotations_path: str, cfg: PipelineConfig) -> BatchResult:
-    """Run extraction over every annotated case, collecting per-case errors
-    instead of aborting."""
-    with open(annotations_path) as fh:
-        rows = roi.read_annotations(fh.read())
-    base = os.path.dirname(os.path.abspath(annotations_path))
+def extract_batch(rows: list[dict], base_dir: str, cfg: PipelineConfig) -> BatchResult:
+    """Run extraction over every annotated case (``read_annotations`` rows,
+    image names relative to ``base_dir``), collecting per-case errors instead
+    of aborting."""
     out_rows = []
     errors = []
     for rec in rows:
         name = rec["image"]
         try:
-            with open(os.path.join(base, name), "rb") as fh:
+            with open(os.path.join(base_dir, name), "rb") as fh:
                 img = image.read_pgm(fh.read())
         except (OSError, image.PgmParseError) as exc:
             errors.append((name, "read", str(exc)))
@@ -113,8 +111,13 @@ def run_pipeline(annotations_path: str, cfg: PipelineConfig, out_dir: str) -> di
     report.csv and roc.csv into ``out_dir``. Deterministic for a fixed
     config and inputs.
     """
+    with open(annotations_path) as fh:
+        rows = roi.read_annotations(fh.read())
+    labels = {rec["label"] for rec in rows}
+    if not {"benign", "malignant"} <= labels:
+        raise ValueError("annotations need at least one benign and one malignant case")
     os.makedirs(out_dir, exist_ok=True)
-    batch = extract_batch(annotations_path, cfg)
+    batch = extract_batch(rows, os.path.dirname(os.path.abspath(annotations_path)), cfg)
     _write(out_dir, "features.csv", feat.write_feature_csv(batch.feature_rows))
     if batch.errors:
         out = io.StringIO()

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,17 +216,37 @@ def boundary_to_text(boundary: list[tuple[int, int]]) -> str:
 
 ANNOTATION_FIELDS = ["image", "seed_x", "seed_y", "label"]
 _LABELS = {"benign", "malignant", "unknown"}
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def read_annotations(text: str) -> list[dict]:
-    """Parse the annotation CSV: image,seed_x,seed_y,label."""
+    """Parse the annotation CSV: image,seed_x,seed_y,label.
+
+    A row without exactly four fields, a non-integer seed, an unknown label or
+    an image named twice raises ``ValueError`` naming its 1-based line.
+    """
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames != ANNOTATION_FIELDS:
         raise ValueError(f"bad annotation header {reader.fieldnames}, expected {ANNOTATION_FIELDS}")
     rows = []
+    first_line: dict[str, int] = {}
     for rec in reader:
+        where = f"annotation line {reader.line_num}"
+        if None in rec or None in rec.values():
+            raise ValueError(f"{where}: expected {len(ANNOTATION_FIELDS)} fields")
         if rec["label"] not in _LABELS:
-            raise ValueError(f"bad label {rec['label']!r} for {rec['image']}")
+            raise ValueError(f"{where}: bad label {rec['label']!r} for {rec['image']}")
+        if rec["image"] in first_line:
+            raise ValueError(
+                f"{where}: image {rec['image']!r} already annotated"
+                f" on line {first_line[rec['image']]}"
+            )
+        first_line[rec["image"]] = reader.line_num
+        # int() alone would also take "1_0", " 3" and non-ASCII digits
+        if not all(_INTEGER.fullmatch(rec[k]) for k in ("seed_x", "seed_y")):
+            raise ValueError(
+                f"{where}: seed ({rec['seed_x']!r}, {rec['seed_y']!r}) is not two integers"
+            )
         rows.append(
             {
                 "image": rec["image"],

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .image import to_lightness, validate_image, write_pgm16
+from .image import to_lightness, validate_image
 
 _FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
@@ -68,26 +68,6 @@ def step_size(n_pixels: int, k: int) -> float:
     return float(np.sqrt(n_pixels / k))
 
 
-def distance(
-    center: np.ndarray,
-    point: np.ndarray,
-    color_norm: float,
-    spatial_norm: float,
-) -> float:
-    """Combined color/spatial distance between two (l, a, b, x, y) points.
-
-    D' = sqrt((d_c / color_norm)^2 + (d_s / spatial_norm)^2) with d_c the
-    Euclidean distance in Lab and d_s the Euclidean distance in the plane.
-    """
-    if color_norm <= 0 or spatial_norm <= 0:
-        raise ValueError("normalizers must be > 0")
-    c = np.asarray(center, dtype=np.float64)
-    p = np.asarray(point, dtype=np.float64)
-    dc = np.sqrt(np.sum((c[:3] - p[:3]) ** 2))
-    ds = np.sqrt(np.sum((c[3:5] - p[3:5]) ** 2))
-    return float(np.sqrt((dc / color_norm) ** 2 + (ds / spatial_norm) ** 2))
-
-
 def _gradient_map(l_plane: np.ndarray) -> np.ndarray:
     # (l(x+1,y)-l(x-1,y))^2 + (l(x,y+1)-l(x,y-1))^2 with clamped sampling
     right = l_plane[:, np.minimum(np.arange(l_plane.shape[1]) + 1, l_plane.shape[1] - 1)]
@@ -99,7 +79,9 @@ def _gradient_map(l_plane: np.ndarray) -> np.ndarray:
 
 def seed_grid(l_plane: np.ndarray, step: float) -> np.ndarray:
     """Regular-grid seeds, each nudged to the lowest-gradient pixel in its
-    3x3 neighborhood (ties keep the first in row-major scan order).
+    3x3 neighborhood (ties keep the first in row-major scan order, and a seed
+    moves only to a gradient strictly below its own). Neighborhoods are
+    truncated at the border.
 
     Returns a (K, 3) array of (l, x, y).
     """
@@ -108,21 +90,80 @@ def seed_grid(l_plane: np.ndarray, step: float) -> np.ndarray:
     h, w = l_plane.shape
     spacing = max(1, round(step))
     offset = round(step / 2)
-    grad = _gradient_map(l_plane)
-    centers = []
-    for y in range(min(offset, h - 1), h, spacing):
-        for x in range(min(offset, w - 1), w, spacing):
-            best = (grad[y, x], 0)  # (gradient, scan rank); rank 0 = original
-            bx, by = x, y
-            rank = 0
-            for ny in range(max(0, y - 1), min(h, y + 2)):
-                for nx in range(max(0, x - 1), min(w, x + 2)):
-                    rank += 1
-                    if grad[ny, nx] < best[0]:
-                        best = (grad[ny, nx], rank)
-                        bx, by = nx, ny
-            centers.append((l_plane[by, bx], float(bx), float(by)))
-    return np.array(centers, dtype=np.float64)
+    padded = np.pad(_gradient_map(l_plane), 1, constant_values=np.inf)
+    gy, gx = np.meshgrid(
+        np.arange(min(offset, h - 1), h, spacing),
+        np.arange(min(offset, w - 1), w, spacing),
+        indexing="ij",
+    )
+    gy, gx = gy.ravel(), gx.ravel()
+    dy, dx = np.divmod(np.arange(9), 3)  # 3x3 neighborhood in scan order
+    ny, nx = gy[:, None] + dy, gx[:, None] + dx  # padded coordinates: +1 each
+    grad = padded[ny, nx]
+    best = np.argmin(grad, axis=1)
+    k = np.arange(len(gy))
+    moved = grad[k, best] < grad[:, 4]
+    by = np.where(moved, ny[k, best] - 1, gy)
+    bx = np.where(moved, nx[k, best] - 1, gx)
+    return np.stack(
+        [l_plane[by, bx], bx.astype(np.float64), by.astype(np.float64)], axis=1
+    )
+
+
+def _assign(
+    l_plane: np.ndarray, centers: np.ndarray, s: float, compactness: float
+) -> tuple[np.ndarray, float]:
+    """One assignment pass of the localized k-means.
+
+    Centers are visited in index order; each claims the pixels of its 2S x 2S
+    window to which it is strictly closer than every earlier center, so ties
+    go to the lower index. A pixel outside every window goes to the spatially
+    nearest center. Returns the labels and the largest per-axis offset from a
+    window-claimed pixel to its center (0.0 when no pixel was claimed).
+    """
+    h, w = l_plane.shape
+    ax = np.arange(w, dtype=np.float64)
+    ay = np.arange(h, dtype=np.float64)
+    reach = 2.0 * s  # search half-width per center
+    x0s = np.maximum(0, np.floor(centers[:, 1] - reach)).astype(int).tolist()
+    x1s = np.minimum(w, np.ceil(centers[:, 1] + reach) + 1).astype(int).tolist()
+    y0s = np.maximum(0, np.floor(centers[:, 2] - reach)).astype(int).tolist()
+    y1s = np.minimum(h, np.ceil(centers[:, 2] + reach) + 1).astype(int).tolist()
+    ss = s * s
+    dist = np.full((h, w), np.inf)
+    labels = np.full((h, w), -1, dtype=np.int32)
+    for idx, (cl, cx, cy) in enumerate(centers.tolist()):
+        y0, y1, x0, x1 = y0s[idx], y1s[idx], x0s[idx], x1s[idx]
+        d2 = l_plane[y0:y1, x0:x1] - cl
+        d2 /= compactness
+        np.square(d2, out=d2)
+        ds2 = (ay[y0:y1, None] - cy) ** 2 + (ax[x0:x1] - cx) ** 2
+        ds2 /= ss
+        d2 += ds2
+        win = dist[y0:y1, x0:x1]
+        better = d2 < win  # strict: earlier index wins ties
+        np.minimum(win, d2, out=win)
+        np.copyto(labels[y0:y1, x0:x1], idx, where=better)
+
+    # |x - cx| over a label's pixels peaks at an edge of its bounding box
+    max_offset = 0.0
+    for idx, box in enumerate(ndimage.find_objects(labels + 1)):
+        if box is not None:
+            _, cx, cy = centers[idx]
+            rows, cols = box
+            max_offset = max(
+                max_offset,
+                abs(cols.start - cx), abs(cols.stop - 1 - cx),
+                abs(rows.start - cy), abs(rows.stop - 1 - cy),
+            )
+
+    # Once centers drift a pixel can fall outside every 2S window; give it
+    # to the spatially nearest center so the partition invariant holds.
+    oy, ox = np.nonzero(labels < 0)
+    if oy.size:
+        d = (ox[:, None] - centers[None, :, 1]) ** 2 + (oy[:, None] - centers[None, :, 2]) ** 2
+        labels[oy, ox] = np.argmin(d, axis=1)
+    return labels, float(max_offset)
 
 
 def slic(
@@ -144,41 +185,11 @@ def slic(
     centers = seed_grid(l_plane, max(1.0, s))
 
     xs, ys = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
-    labels = np.full((h, w), -1, dtype=np.int32)
-    reach = 2.0 * s  # search half-width per center
     max_offset = 0.0
 
     for _ in range(params.max_iters):
-        dist = np.full((h, w), np.inf)
-        labels.fill(-1)
-        for idx in range(len(centers)):
-            cl, cx, cy = centers[idx]
-            x0 = max(0, int(np.floor(cx - reach)))
-            x1 = min(w, int(np.ceil(cx + reach)) + 1)
-            y0 = max(0, int(np.floor(cy - reach)))
-            y1 = min(h, int(np.ceil(cy + reach)) + 1)
-            win_l = l_plane[y0:y1, x0:x1]
-            dc2 = ((win_l - cl) / params.compactness) ** 2
-            ds2 = ((xs[y0:y1, x0:x1] - cx) ** 2 + (ys[y0:y1, x0:x1] - cy) ** 2) / (s * s)
-            d2 = dc2 + ds2
-            better = d2 < dist[y0:y1, x0:x1]  # strict: earlier index wins ties
-            dist[y0:y1, x0:x1][better] = d2[better]
-            labels[y0:y1, x0:x1][better] = idx
-
-        # A pixel can fall outside every 2S window once centers drift; give it
-        # to the spatially nearest center so the partition invariant holds.
-        claimed = labels >= 0
-        if claimed.any():
-            cc = centers[labels[claimed]]
-            off = np.maximum(
-                np.abs(xs[claimed] - cc[:, 1]), np.abs(ys[claimed] - cc[:, 2])
-            ).max()
-            max_offset = max(max_offset, float(off))
-        orphan = labels < 0
-        if orphan.any():
-            ox, oy = xs[orphan], ys[orphan]
-            d = (ox[:, None] - centers[None, :, 1]) ** 2 + (oy[:, None] - centers[None, :, 2]) ** 2
-            labels[orphan] = np.argmin(d, axis=1)
+        labels, offset = _assign(l_plane, centers, s, params.compactness)
+        max_offset = max(max_offset, offset)
 
         flat = labels.ravel()
         counts = np.bincount(flat, minlength=len(centers)).astype(np.float64)
@@ -322,14 +333,3 @@ def adjacency(labeling: SuperpixelLabeling | np.ndarray) -> dict[int, set[int]]:
     for u, v in zip(src.tolist(), dst.tolist()):
         neigh[u].add(v)
     return neigh
-
-
-def export_labeling(labeling: SuperpixelLabeling) -> tuple[bytes, str]:
-    """Label map as 16-bit P5 bytes plus a 'index l x y' sidecar text."""
-    if labeling.n_labels > 65536:
-        raise ValueError("too many labels for a 16-bit raster")
-    raster = write_pgm16(labeling.labels.astype(np.uint16))
-    lines = [
-        f"{i} {c[0]:.6f} {c[1]:.6f} {c[2]:.6f}" for i, c in enumerate(labeling.centers)
-    ]
-    return raster, "\n".join(lines) + "\n"

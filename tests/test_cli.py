@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from sonocad import image, phantom, roi
+from sonocad import image, phantom, pipeline, roi
 from sonocad.cli import main
 from sonocad.config import PipelineConfig
 
@@ -236,6 +236,26 @@ class TestPipelineCommand:
         assert err_lines[0] == "case,stage,message"
         assert len(err_lines) == 2
         assert ",read," in err_lines[1]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ["a.pgm,3,4,benign", "b.pgm,5,6,malignant", "a.pgm,1,1,malignant"],
+            ["a.pgm,3,4,benign", "b.pgm,5.5,6,malignant"],
+            ["a.pgm,3,4,benign", "b.pgm,5,6,benign", "c.pgm,1,1,unknown"],
+        ],
+        ids=["duplicate-image", "non-integer-seed", "single-class"],
+    )
+    def test_bad_annotations_exit_2_before_extraction(self, tmp_path, monkeypatch, rows):
+        def never(*args, **kwargs):
+            raise AssertionError("process_case called")
+
+        monkeypatch.setattr(pipeline, "process_case", never)
+        ann = tmp_path / "annotations.csv"
+        ann.write_text("image,seed_x,seed_y,label\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "run"
+        assert main(["pipeline", "--annotations", str(ann), "--out-dir", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestConfig:

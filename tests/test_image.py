@@ -35,8 +35,13 @@ class TestPgm:
         assert exc.value.offset == len(b"P5\n3 1\n15\n") + 2
 
     def test_samples_up_to_maxval_accepted(self):
-        img = image.read_pgm(b"P5\n2 1\n15\n\x00\x0f")
-        assert list(img.ravel()) == [0, 15]
+        # and rescaled to 0..255
+        assert list(image.read_pgm(b"P5\n2 1\n1\n\x00\x01").ravel()) == [0, 255]
+        # round(v * 255 / 15) = 17 v
+        img = image.read_pgm(b"P5\n16 1\n15\n" + bytes(range(16)))
+        assert list(img.ravel()) == [17 * v for v in range(16)]
+        # 1 * 255 / 2 = 127.5 rounds up
+        assert list(image.read_pgm(b"P5\n3 1\n2\n\x00\x01\x02").ravel()) == [0, 128, 255]
 
     def test_comments_skipped(self):
         img = image.read_pgm(b"P5\n# a comment\n1 1\n255\n\x2a")
@@ -60,10 +65,6 @@ class TestPgm:
         # byte identity on canonical files
         canon = image.write_pgm(img)
         assert image.write_pgm(image.read_pgm(canon)) == canon
-
-    def test_pgm16_round_trip(self):
-        labels = np.arange(12, dtype=np.uint16).reshape(3, 4) * 1000
-        assert np.array_equal(image.read_pgm16(image.write_pgm16(labels)), labels)
 
 
 class TestEqualize:

@@ -184,6 +184,27 @@ class TestAnnotations:
         with pytest.raises(ValueError):
             roi.read_annotations("img,x,y,lab\na,1,2,benign\n")
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("a.pgm,7,7,malignant", "line 4: image 'a.pgm' already annotated on line 2"),
+            ("c.pgm,7.5,7,malignant", "line 4: seed ('7.5', '7') is not two integers"),
+            ("c.pgm,,7,malignant", "line 4: seed ('', '7') is not two integers"),
+            ("c.pgm,1_0,7,malignant", "line 4: seed ('1_0', '7') is not two integers"),
+            ("c.pgm,7,7", "line 4: expected 4 fields"),
+            ("c.pgm,7,7,benign,extra", "line 4: expected 4 fields"),
+        ],
+        ids=[
+            "duplicate-image", "decimal-seed", "empty-seed", "underscore-seed",
+            "short-row", "long-row",
+        ],
+    )
+    def test_bad_row_names_its_line(self, row, message):
+        text = "image,seed_x,seed_y,label\na.pgm,1,2,benign\nb.pgm,3,4,malignant\n" + row + "\n"
+        with pytest.raises(ValueError) as exc:
+            roi.read_annotations(text)
+        assert str(exc.value) == "annotation " + message
+
 
 class TestMaskIo:
     def test_mask_pgm_round_trip(self):

@@ -6,12 +6,15 @@ from scipy import ndimage
 
 from sonocad import image, phantom
 from sonocad.config import PipelineConfig
+from sonocad.image import to_lightness, validate_image
 from sonocad.slic import (
     SlicParams,
+    _assign,
+    _drop_empty,
     _enforce_connectivity,
+    _gradient_map,
+    _recompute_centers,
     adjacency,
-    distance,
-    export_labeling,
     seed_grid,
     slic,
     step_size,
@@ -53,22 +56,6 @@ class TestSeedGrid:
     def test_count_matches_grid(self):
         l = np.zeros((20, 30))
         assert len(seed_grid(l, 5.0)) == 4 * 6
-
-
-class TestDistance:
-    def test_coincident_points(self):
-        p = np.array([10.0, 0.0, 0.0, 3.0, 4.0])
-        assert distance(p, p, 10.0, 5.0) == 0.0
-
-    def test_unit_contributions(self):
-        c = np.array([0.0, 0, 0, 0.0, 0.0])
-        p = np.array([10.0, 0, 0, 5.0, 0.0])
-        assert distance(c, p, 10.0, 5.0) == pytest.approx(np.sqrt(2))
-
-    def test_larger_spatial_norm_shrinks_distance(self):
-        c = np.array([0.0, 0, 0, 0.0, 0.0])
-        p = np.array([0.0, 0, 0, 3.0, 4.0])
-        assert distance(c, p, 10.0, 10.0) < distance(c, p, 10.0, 5.0)
 
 
 def _labeling_ok(labeling, img):
@@ -163,25 +150,13 @@ class TestAdjacency:
             assert lab not in ns
 
 
-class TestExport:
-    def test_round_trip_raster_and_sidecar(self):
-        img = np.full((30, 30), 100, dtype=np.uint8)
-        labeling = slic(img, SlicParams(n_segments=4))
-        raster, sidecar = export_labeling(labeling)
-        back = image.read_pgm16(raster)
-        assert np.array_equal(back, labeling.labels.astype(np.uint16))
-        lines = sidecar.strip().split("\n")
-        assert len(lines) == labeling.n_labels
-        assert lines[0].split()[0] == "0"
-
-
 # Reference implementation: the original per-fragment dilate-and-rescan
 # connectivity enforcement, kept here verbatim (with its helpers) as the
 # oracle for the graph-based one in sonocad.slic.
 _FOUR_CONNECTED = FOUR
 
 
-def _drop_empty(labels: np.ndarray) -> np.ndarray:
+def _oracle_drop_empty(labels: np.ndarray) -> np.ndarray:
     present = np.unique(labels)
     lut = np.full(present.max() + 1, -1, dtype=np.int32)
     lut[present] = np.arange(len(present), dtype=np.int32)
@@ -262,7 +237,7 @@ def _oracle_enforce_connectivity(labels: np.ndarray, min_size: int) -> np.ndarra
             out[comp == cid] = next_label
             next_label += 1
         pending = deferred
-    return _drop_empty(out.astype(np.int32))
+    return _oracle_drop_empty(out.astype(np.int32))
 
 
 class TestEnforceConnectivityMatchesOracle:
@@ -292,5 +267,191 @@ class TestEnforceConnectivityMatchesOracle:
         min_size = data.draw(st.sampled_from([0, 1, 4, labels.size + 1]), label="min_size")
         expected = _oracle_enforce_connectivity(labels, min_size)
         got = _enforce_connectivity(labels, min_size)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+
+# Reference implementation: the original per-seed seed_grid and the original
+# slic() with its per-center window loop, kept here verbatim as the oracle for
+# the vectorized seed_grid and _assign in sonocad.slic. _oracle_assign is the
+# body of the original iteration up to the center update.
+def _oracle_seed_grid(l_plane: np.ndarray, step: float) -> np.ndarray:
+    if step < 1:
+        raise ValueError("step must be >= 1")
+    h, w = l_plane.shape
+    spacing = max(1, round(step))
+    offset = round(step / 2)
+    grad = _gradient_map(l_plane)
+    centers = []
+    for y in range(min(offset, h - 1), h, spacing):
+        for x in range(min(offset, w - 1), w, spacing):
+            best = (grad[y, x], 0)  # (gradient, scan rank); rank 0 = original
+            bx, by = x, y
+            rank = 0
+            for ny in range(max(0, y - 1), min(h, y + 2)):
+                for nx in range(max(0, x - 1), min(w, x + 2)):
+                    rank += 1
+                    if grad[ny, nx] < best[0]:
+                        best = (grad[ny, nx], rank)
+                        bx, by = nx, ny
+            centers.append((l_plane[by, bx], float(bx), float(by)))
+    return np.array(centers, dtype=np.float64)
+
+
+def _oracle_assign(l_plane, centers, s, compactness):
+    """Returns (labels, offset or None when nothing was claimed, claimed mask)."""
+    h, w = l_plane.shape
+    xs, ys = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
+    labels = np.full((h, w), -1, dtype=np.int32)
+    reach = 2.0 * s  # search half-width per center
+    offset = None
+
+    dist = np.full((h, w), np.inf)
+    for idx in range(len(centers)):
+        cl, cx, cy = centers[idx]
+        x0 = max(0, int(np.floor(cx - reach)))
+        x1 = min(w, int(np.ceil(cx + reach)) + 1)
+        y0 = max(0, int(np.floor(cy - reach)))
+        y1 = min(h, int(np.ceil(cy + reach)) + 1)
+        win_l = l_plane[y0:y1, x0:x1]
+        dc2 = ((win_l - cl) / compactness) ** 2
+        ds2 = ((xs[y0:y1, x0:x1] - cx) ** 2 + (ys[y0:y1, x0:x1] - cy) ** 2) / (s * s)
+        d2 = dc2 + ds2
+        better = d2 < dist[y0:y1, x0:x1]  # strict: earlier index wins ties
+        dist[y0:y1, x0:x1][better] = d2[better]
+        labels[y0:y1, x0:x1][better] = idx
+
+    # A pixel can fall outside every 2S window once centers drift; give it
+    # to the spatially nearest center so the partition invariant holds.
+    claimed = labels >= 0
+    if claimed.any():
+        cc = centers[labels[claimed]]
+        off = np.maximum(
+            np.abs(xs[claimed] - cc[:, 1]), np.abs(ys[claimed] - cc[:, 2])
+        ).max()
+        offset = float(off)
+    orphan = labels < 0
+    if orphan.any():
+        ox, oy = xs[orphan], ys[orphan]
+        d = (ox[:, None] - centers[None, :, 1]) ** 2 + (oy[:, None] - centers[None, :, 2]) ** 2
+        labels[orphan] = np.argmin(d, axis=1)
+    return labels, offset, claimed
+
+
+def _oracle_slic(img, params=None, enforce=True):
+    img = validate_image(img)
+    params = params or SlicParams()
+    h, w = img.shape
+    s = step_size(h * w, params.n_segments)
+    l_plane = to_lightness(img)
+    centers = _oracle_seed_grid(l_plane, max(1.0, s))
+
+    xs, ys = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
+    max_offset = 0.0
+
+    for _ in range(params.max_iters):
+        labels, off, _ = _oracle_assign(l_plane, centers, s, params.compactness)
+        if off is not None:
+            max_offset = max(max_offset, off)
+
+        flat = labels.ravel()
+        counts = np.bincount(flat, minlength=len(centers)).astype(np.float64)
+        sum_l = np.bincount(flat, weights=l_plane.ravel(), minlength=len(centers))
+        sum_x = np.bincount(flat, weights=xs.ravel(), minlength=len(centers))
+        sum_y = np.bincount(flat, weights=ys.ravel(), minlength=len(centers))
+        nonempty = counts > 0
+        new_centers = centers.copy()  # empty clusters keep their coordinates
+        new_centers[nonempty, 0] = sum_l[nonempty] / counts[nonempty]
+        new_centers[nonempty, 1] = sum_x[nonempty] / counts[nonempty]
+        new_centers[nonempty, 2] = sum_y[nonempty] / counts[nonempty]
+        disp = np.sqrt(
+            (new_centers[nonempty, 1] - centers[nonempty, 1]) ** 2
+            + (new_centers[nonempty, 2] - centers[nonempty, 2]) ** 2
+        )
+        centers = new_centers
+        if disp.size == 0 or float(disp.mean()) <= params.conv_eps:
+            break
+
+    labels = _drop_empty(labels)
+    if enforce:
+        labels = _enforce_connectivity(labels, min_size=round(s) ** 2 // 4)
+    centers = _recompute_centers(labels, l_plane, xs, ys)
+    return labels, centers, s, max_offset
+
+
+class TestAssignmentMatchesOracle:
+    @pytest.mark.parametrize("enforce", [False, True])
+    @pytest.mark.parametrize("speckle", [0.0, 0.03, 0.06])
+    def test_phantom_slic_bit_identical(self, speckle, enforce):
+        params = PipelineConfig().slic_params()
+        for _, case in phantom.generate_dataset(1, 1, seed=5, speckle_sigma=speckle):
+            pre = image.preprocess(case.image)
+            labels, centers, step, offset = _oracle_slic(pre, params, enforce)
+            got = slic(pre, params, enforce)
+            assert got.labels.dtype == labels.dtype
+            assert np.array_equal(got.labels, labels)
+            assert np.array_equal(got.centers, centers)
+            assert got.step == step
+            assert got.max_assign_offset == offset
+
+    def test_hand_placed_centers_bit_identical(self):
+        # Examples are drawn with hypothesis; random images alone never leave
+        # a pixel outside every window, so the centers are placed by hand and
+        # the test checks that ties and orphans were both reached.
+        reached = {"tie": 0, "orphan": 0}
+
+        @given(st.data())
+        @settings(max_examples=200, deadline=None)
+        def check(data):
+            h = data.draw(st.integers(1, 14), label="h")
+            w = data.draw(st.integers(1, 14), label="w")
+            vals = data.draw(st.lists(st.integers(0, 255), min_size=h * w, max_size=h * w))
+            l_plane = to_lightness(np.array(vals, dtype=np.uint8).reshape(h, w))
+            s = data.draw(st.sampled_from([0.5, 1.0, 1.7, 2.5, 4.0]), label="s")
+            compactness = data.draw(st.sampled_from([1.0, 10.0, 33.3]), label="compactness")
+            n = data.draw(st.integers(1, 6), label="k")
+            centers = []
+            for _ in range(n):
+                if centers and data.draw(st.booleans(), label="duplicate"):
+                    centers.append(centers[data.draw(st.integers(0, len(centers) - 1))])
+                    continue
+                # far-off centers sit in a corner, away from most pixels
+                corner = data.draw(st.booleans(), label="corner")
+                x = data.draw(st.floats(0, 1.5 if corner else w - 1), label="x")
+                y = data.draw(st.floats(0, 1.5 if corner else h - 1), label="y")
+                centers.append((data.draw(st.floats(0, 100), label="l"), x, y))
+            centers = np.array(centers, dtype=np.float64)
+
+            expected, offset, claimed = _oracle_assign(l_plane, centers, s, compactness)
+            labels, got_offset = _assign(l_plane, centers, s, compactness)
+            assert labels.dtype == expected.dtype
+            assert np.array_equal(labels, expected)
+            assert got_offset == (0.0 if offset is None else offset)
+
+            reached["orphan"] += int((~claimed).any())
+            # a duplicate j of an earlier center i ties with it on every pixel
+            # of their common window; i claiming a pixel means the tie was
+            # decided for the lower index
+            winners = set(expected[claimed].tolist())
+            for j in range(n):
+                dup_of = [i for i in range(j) if np.array_equal(centers[i], centers[j])]
+                if dup_of and dup_of[0] in winners:
+                    reached["tie"] += 1
+                    break
+
+        check()
+        assert reached["tie"] > 0 and reached["orphan"] > 0, reached
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_seed_grid_bit_identical(self, data):
+        h = data.draw(st.integers(1, 16), label="h")
+        w = data.draw(st.integers(1, 16), label="w")
+        levels = data.draw(st.sampled_from([2, 4, 256]), label="levels")  # few levels: ties
+        vals = data.draw(st.lists(st.integers(0, levels - 1), min_size=h * w, max_size=h * w))
+        l_plane = to_lightness(np.array(vals, dtype=np.uint8).reshape(h, w))
+        step = data.draw(st.floats(1.0, 6.0), label="step")
+        got = seed_grid(l_plane, step)
+        expected = _oracle_seed_grid(l_plane, step)
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
