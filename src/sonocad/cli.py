@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import features as feat
-from . import image, metrics, phantom, pipeline, roi, slic, svm
+from . import image, metrics, phantom, pipeline, roi, svm
 from .config import PipelineConfig
 
 EXIT_OK = 0
@@ -29,102 +29,91 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _write(path: str, data: str | bytes):
+    with open(path, "wb" if isinstance(data, bytes) else "w") as fh:
+        fh.write(data)
+
+
 def _read_image(path: str) -> np.ndarray:
     with open(path, "rb") as fh:
         return image.read_pgm(fh.read())
 
 
+# config fields that a stage flag can set; each flag's dest is the field name
+_FLAG_FIELDS = ("denoise_radius", "unsharp_amount", "n_segments", "grow_threshold",
+                "svm_c", "svm_gamma", "kernel", "folds")
+
+
 def _load_config(args) -> PipelineConfig:
-    if getattr(args, "config", None):
+    """The ``--config`` file (or the defaults), with the given flags on top."""
+    cfg = PipelineConfig()
+    if args.config:
         with open(args.config) as fh:
-            return PipelineConfig.from_json(fh.read())
-    return PipelineConfig()
+            cfg = PipelineConfig.from_json(fh.read())
+    return cfg.override(**{f: getattr(args, f, None) for f in _FLAG_FIELDS})
 
 
 def cmd_preprocess(args) -> int:
-    img = _read_image(args.input)
-    out = image.preprocess(
-        img,
-        denoise_radius=None if args.no_denoise else args.denoise_radius,
-        unsharp_amount=args.unsharp,
-    )
-    with open(args.output, "wb") as fh:
-        fh.write(image.write_pgm(out))
+    out = pipeline.preprocess(_read_image(args.input), _load_config(args))
+    _write(args.output, image.write_pgm(out))
     return EXIT_OK
 
 
 def cmd_segment(args) -> int:
-    img = _read_image(args.input)
     try:
         sx, sy = (int(v) for v in args.seed.split(","))
     except ValueError:
         print(f"error: bad --seed {args.seed!r}, expected X,Y", file=sys.stderr)
         return EXIT_USAGE
-    pre = image.preprocess(img)
-    labeling = slic.slic(pre, slic.SlicParams(n_segments=args.k))
-    threshold = args.threshold if args.threshold is not None else roi.default_threshold(pre)
-    mask = roi.grow(pre, labeling, roi.SeedSpec(sx, sy), roi.GrowParams(threshold))
-    with open(args.out_mask, "wb") as fh:
-        fh.write(roi.mask_to_pgm(mask.mask))
-    with open(args.out_contour, "w") as fh:
-        fh.write(roi.boundary_to_text(mask.boundary))
+    cfg = _load_config(args)
+    pre = pipeline.preprocess(_read_image(args.input), cfg)
+    _, mask = pipeline.segment(pre, sx, sy, cfg)
+    _write(args.out_mask, roi.mask_to_pgm(mask.mask))
+    _write(args.out_contour, roi.boundary_to_text(mask.boundary))
     return EXIT_OK
 
 
 def cmd_features(args) -> int:
-    img = _read_image(args.input)
-    mask = roi.pgm_to_mask(_read_image(args.mask))
-    boundary, perimeter = roi.trace_boundary(mask)
-    roi_mask = roi.RoiMask(mask=mask, boundary=boundary, area_px=int(mask.sum()),
-                           perimeter=perimeter)
-    fv = feat.extract_all(img, roi_mask)
-    with open(args.out, "w") as fh:
-        fh.write(feat.write_feature_csv([(args.input, fv, args.label)]))
+    cfg = _load_config(args)
+    pre = pipeline.preprocess(_read_image(args.input), cfg)
+    roi_mask = roi.RoiMask.from_mask(roi.pgm_to_mask(_read_image(args.mask)))
+    fv = pipeline.features(pre, roi_mask, cfg)
+    _write(args.out, feat.write_feature_csv([(args.input, fv, args.label)]))
     return EXIT_OK
 
 
 def _load_features(path: str):
     with open(path) as fh:
-        rows = feat.read_feature_csv(fh.read())
-    return pipeline.rows_to_matrix(rows)
+        return pipeline.rows_to_matrix(feat.read_feature_csv(fh.read()))
 
 
 def cmd_train(args) -> int:
+    cfg = _load_config(args)
     x, y, _ = _load_features(args.features)
-    clf = svm.SmoSVC(c=args.c, kernel=args.kernel, gamma=args.gamma).fit(x, y)
-    with open(args.out, "w") as fh:
-        fh.write(svm.model_to_json(clf))
+    _write(args.out, svm.model_to_json(pipeline.train(x, y, cfg)))
     return EXIT_OK
 
 
 def cmd_gridsearch(args) -> int:
-    x, y, ids = _load_features(args.features)
     cfg = _load_config(args)
-    result = svm.grid_search(
-        x, y, ids, k=args.folds, seed=cfg.seed,
-        c_exponents=cfg.c_exponents, g_exponents=cfg.g_exponents, kernel=cfg.kernel,
-    )
-    with open(args.out, "w") as fh:
-        fh.write(result.surface_csv())
+    x, y, ids = _load_features(args.features)
+    result = pipeline.grid_search(x, y, ids, cfg)
+    _write(args.out, result.surface_csv())
     print(f"best c={result.best_c:.6g} gamma={result.best_gamma:.6g} "
           f"cv_accuracy={result.best_accuracy:.4f}")
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
+    cfg = _load_config(args)
     with open(args.model) as fh:
         clf = svm.model_from_json(fh.read())
     x, y, ids = _load_features(args.features)
-    cfg = PipelineConfig().override(
-        folds=args.folds, svm_c=clf.c, kernel=clf.kernel,
-        svm_gamma=clf.gamma, svm_coef0=clf.coef0,
-    )
+    cfg = cfg.override(svm_c=clf.c, kernel=clf.kernel_spec.kind, svm_gamma=clf.kernel_spec.gamma)
     per_fold, curve = pipeline.evaluate_cv(x, y, ids, cfg)
-    with open(args.out, "w") as fh:
-        fh.write(metrics.report_csv(per_fold))
+    _write(args.out, metrics.report_csv(per_fold))
     if args.roc:
-        with open(args.roc, "w") as fh:
-            fh.write(metrics.roc_csv(curve))
+        _write(args.roc, metrics.roc_csv(curve))
     print(f"auc={curve.auc:.4f}")
     return EXIT_OK
 
@@ -151,46 +140,49 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Ultrasound tumor segmentation, features and classification")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("preprocess", help="equalize + denoise an image")
+    def stage(name: str, about: str):
+        p = sub.add_parser(name, help=about)
+        p.add_argument("--config", default=None, help="PipelineConfig JSON; flags override it")
+        return p
+
+    p = stage("preprocess", "equalize + denoise an image")
     p.add_argument("input"); p.add_argument("output")
-    p.add_argument("--no-denoise", action="store_true")
-    p.add_argument("--denoise-radius", type=int, default=1)
-    p.add_argument("--unsharp", type=float, default=0.0, metavar="AMT")
+    p.add_argument("--denoise-radius", type=int, default=None, help="0 skips the median filter")
+    p.add_argument("--unsharp", dest="unsharp_amount", type=float, default=None, metavar="AMT")
     p.set_defaults(func=cmd_preprocess)
 
-    p = sub.add_parser("segment", help="extract the ROI from a seed point")
+    p = stage("segment", "extract the ROI from a seed point")
     p.add_argument("input")
     p.add_argument("--seed", required=True, metavar="X,Y")
-    p.add_argument("--k", type=int, default=50)
-    p.add_argument("--threshold", type=float, default=None)
+    p.add_argument("--k", dest="n_segments", type=int, default=None)
+    p.add_argument("--threshold", dest="grow_threshold", type=float, default=None)
     p.add_argument("--out-mask", required=True)
     p.add_argument("--out-contour", required=True)
     p.set_defaults(func=cmd_segment)
 
-    p = sub.add_parser("features", help="feature vector of an image + mask")
+    p = stage("features", "feature vector of an image + mask (image preprocessed first)")
     p.add_argument("input"); p.add_argument("mask")
     p.add_argument("--out", required=True)
     p.add_argument("--label", default="unknown")
     p.set_defaults(func=cmd_features)
 
-    p = sub.add_parser("train", help="train an SVM on a feature CSV")
+    p = stage("train", "train an SVM on a feature CSV")
     p.add_argument("features")
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--kernel", default="rbf", choices=["rbf", "sigmoid", "linear"])
+    p.add_argument("--c", dest="svm_c", type=float, default=None)
+    p.add_argument("--gamma", dest="svm_gamma", type=float, default=None)
+    p.add_argument("--kernel", default=None, choices=svm.KERNELS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("gridsearch", help="CV accuracy over the (C, gamma) lattice")
+    p = stage("gridsearch", "CV accuracy over the (C, gamma) lattice")
     p.add_argument("features")
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--config", default=None)
+    p.add_argument("--folds", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gridsearch)
 
-    p = sub.add_parser("evaluate", help="k-fold evaluation of a trained model's settings")
+    p = stage("evaluate", "k-fold evaluation of a trained model's settings")
     p.add_argument("model"); p.add_argument("features")
-    p.add_argument("--folds", type=int, default=5)
+    p.add_argument("--folds", type=int, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--roc", default=None)
     p.set_defaults(func=cmd_evaluate)
@@ -203,9 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_phantom)
 
-    p = sub.add_parser("pipeline", help="run the whole chain from an annotation CSV")
+    p = stage("pipeline", "run the whole chain from an annotation CSV")
     p.add_argument("--annotations", required=True)
-    p.add_argument("--config", default=None)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_pipeline)
 

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, fields, replace
+from typing import get_args, get_origin, get_type_hints
 
 from .features import GlcmSpec
 from .slic import SlicParams
+from .roi import GrowParams
+from .svm import KernelSpec, exponent_lattice
 
 CONFIG_VERSION = 1
 
@@ -14,7 +17,7 @@ CONFIG_VERSION = 1
 @dataclass(frozen=True)
 class PipelineConfig:
     version: int = CONFIG_VERSION
-    # preprocessing
+    # preprocessing; denoise_radius 0 skips the median filter
     denoise_radius: int = 1
     unsharp_amount: float = 0.0
     unsharp_radius: int = 1
@@ -34,13 +37,29 @@ class PipelineConfig:
     kernel: str = "rbf"
     svm_c: float = 1.0
     svm_gamma: float = 1.0
-    svm_coef0: float = 0.0
-    svm_tol: float = 1e-3
-    svm_max_passes: int = 200
     folds: int = 5
     seed: int = 0
     c_exponents: tuple[float, float, float] = (-8.0, 8.0, 0.4)
     g_exponents: tuple[float, float, float] = (-8.0, 8.0, 0.4)
+
+    def __post_init__(self):
+        hints = get_type_hints(type(self))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _conforms(value, hints[f.name]):
+                raise ValueError(f"config field {f.name}: {value!r} is not {f.type}")
+        # the stage parameter objects and helpers check their own ranges
+        self.slic_params()
+        self.glcm_spec()
+        KernelSpec(self.kernel, self.svm_gamma)
+        for triple in (self.c_exponents, self.g_exponents):
+            exponent_lattice(*triple)
+        if self.grow_threshold is not None:
+            GrowParams(self.grow_threshold)
+        if self.denoise_radius < 0:
+            raise ValueError("config field denoise_radius: must be >= 0 (0 skips the filter)")
+        if self.folds < 2:
+            raise ValueError("config field folds: must be >= 2")
 
     def slic_params(self) -> SlicParams:
         return SlicParams(
@@ -63,17 +82,32 @@ class PipelineConfig:
     @classmethod
     def from_json(cls, text: str) -> "PipelineConfig":
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("config must be a JSON object")
         if data.get("version") != CONFIG_VERSION:
             raise ValueError(f"unsupported config version {data.get('version')!r}")
         known = {f for f in cls.__dataclass_fields__}
         extra = set(data) - known
         if extra:
             raise ValueError(f"unknown config fields {sorted(extra)}")
-        for key in ("glcm_angles", "c_exponents", "g_exponents"):
-            if key in data:
-                data[key] = tuple(data[key])
-        return cls(**data)
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
 
     def override(self, **kwargs) -> "PipelineConfig":
         """Copy with the given fields replaced (flag-over-file precedence)."""
         return replace(self, **{k: v for k, v in kwargs.items() if v is not None})
+
+
+def _conforms(value, hint) -> bool:
+    """Whether ``value`` has the declared type; an int passes for a float, a
+    bool for neither."""
+    args = get_args(hint)
+    if get_origin(hint) is tuple:
+        if args[-1] is Ellipsis and isinstance(value, tuple):  # non-empty, any length
+            args = (args[0],) * max(len(value), 1)
+        return (isinstance(value, tuple) and len(value) == len(args)
+                and all(map(_conforms, value, args)))
+    if args:  # a union, such as float | None
+        return any(_conforms(value, a) for a in args)
+    if isinstance(value, bool) or hint is type(None):
+        return value is None
+    return isinstance(value, (int, float) if hint is float else hint)

@@ -159,17 +159,17 @@ def to_lightness(img: np.ndarray) -> np.ndarray:
 
 def preprocess(
     img: np.ndarray,
-    denoise_radius: int | None = 1,
+    denoise_radius: int = 1,
     unsharp_amount: float = 0.0,
     unsharp_radius: int = 1,
 ) -> np.ndarray:
     """Equalize, then median-denoise, then (optionally) sharpen.
 
-    ``denoise_radius=None`` skips the median filter; ``unsharp_amount=0``
+    ``denoise_radius=0`` skips the median filter; ``unsharp_amount=0``
     (the default) skips sharpening.
     """
     out = histogram_equalize(img)
-    if denoise_radius is not None:
+    if denoise_radius != 0:
         out = denoise(out, denoise_radius)
     if unsharp_amount > 0:
         out = unsharp(out, unsharp_amount, unsharp_radius)

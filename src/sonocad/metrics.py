@@ -87,21 +87,13 @@ def roc(decisions, truth) -> RocCurve:
     n_neg = int(np.sum(truth == -1))
     if n_pos == 0 or n_neg == 0:
         raise ValueError("need both classes for a ROC curve")
+    if np.isnan(decisions).any():
+        raise ValueError("NaN decision value")
     order = np.argsort(-decisions, kind="stable")
-    d = decisions[order]
-    t = truth[order]
-    points = [(0.0, 0.0)]
-    tp = fp = 0
-    i = 0
-    n = len(d)
-    while i < n:
-        j = i
-        while j < n and d[j] == d[i]:
-            j += 1
-        tp += int(np.sum(t[i:j] == 1))
-        fp += int(np.sum(t[i:j] == -1))
-        points.append((fp / n_neg, tp / n_pos))
-        i = j
+    d, t = decisions[order], truth[order]
+    ends = np.flatnonzero(np.append(d[1:] != d[:-1], True))  # last index of each tie block
+    tp, fp = np.cumsum(t == 1)[ends].tolist(), np.cumsum(t == -1)[ends].tolist()
+    points = [(0.0, 0.0)] + [(f / n_neg, p / n_pos) for f, p in zip(fp, tp)]
     if points[-1] != (1.0, 1.0):
         points.append((1.0, 1.0))
     area = 0.0
@@ -118,11 +110,9 @@ def roc_csv(curve: RocCurve) -> str:
 
 def report_csv(per_fold: list[ConfusionCounts]) -> str:
     """Per-fold TP/TN/FP/FN rows, a totals row, then the five indices."""
-    total = ConfusionCounts()
+    total = sum(per_fold, ConfusionCounts())
     lines = ["fold,tp,tn,fp,fn"]
-    for i, c in enumerate(per_fold, start=1):
-        lines.append(f"{i},{c.tp},{c.tn},{c.fp},{c.fn}")
-        total = total + c
+    lines += [f"{i},{c.tp},{c.tn},{c.fp},{c.fn}" for i, c in enumerate(per_fold, start=1)]
     lines.append(f"total,{total.tp},{total.tn},{total.fp},{total.fn}")
     lines.append("index,value,percent")
     for name, value in evaluate(total).items():

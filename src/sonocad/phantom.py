@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .image import write_pgm
-from .roi import write_annotations
+from .roi import mask_to_pgm, write_annotations
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,6 @@ class PhantomSpec:
     posterior_delta: int = 60
     speckle_sigma: float = 0.0
     seed: int = 0
-    center: tuple[float, float] | None = None  # default: upper-middle placement
 
     def __post_init__(self):
         if self.kind not in ("benign", "malignant"):
@@ -74,10 +73,7 @@ class PhantomCase:
 def generate(spec: PhantomSpec) -> PhantomCase:
     """Rasterize one phantom; deterministic per spec (including seed)."""
     w, h = spec.width, spec.height
-    if spec.center is None:
-        cx, cy = w / 2.0, h * 0.35
-    else:
-        cx, cy = spec.center
+    cx, cy = w / 2.0, h * 0.35  # upper-middle, leaving room for the posterior band
     max_ry = spec.semi_axis_y * (1.0 + spec.spike_amplitude)
     max_rx = spec.semi_axis_x * (1.0 + spec.spike_amplitude)
     # the lesion plus half its height of posterior band must stay in frame
@@ -170,8 +166,6 @@ def generate_dataset(
     n_malignant: int = 88,
     seed: int = 0,
     speckle_sigma: float = 0.0,
-    width: int = 160,
-    height: int = 160,
 ) -> list[tuple[str, PhantomCase]]:
     """Jittered labeled cases, deterministic per seed.
 
@@ -184,8 +178,7 @@ def generate_dataset(
     kinds = ["benign"] * n_benign + ["malignant"] * n_malignant
     for i, kind in enumerate(kinds):
         rng = np.random.default_rng(seed + i)
-        base = replace(default_spec(kind), width=width, height=height,
-                       speckle_sigma=speckle_sigma)
+        base = replace(default_spec(kind), speckle_sigma=speckle_sigma)
         spec = _jitter(base, rng, case_seed=seed + i)
         name = f"case_{i:04d}_{kind}"
         cases.append((name, generate(spec)))
@@ -202,7 +195,7 @@ def write_dataset(cases: list[tuple[str, PhantomCase]], out_dir: str) -> str:
         with open(path, "wb") as fh:
             fh.write(write_pgm(case.image))
         with open(os.path.join(out_dir, f"{name}_truth.pgm"), "wb") as fh:
-            fh.write(write_pgm(np.where(case.truth_mask, 255, 0).astype(np.uint8)))
+            fh.write(mask_to_pgm(case.truth_mask))
         rows.append(
             {
                 "image": f"{name}.pgm",

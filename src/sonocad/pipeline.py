@@ -1,4 +1,8 @@
-"""End-to-end orchestration: annotated images in, evaluation report out."""
+"""End-to-end orchestration: annotated images in, evaluation report out.
+
+The stage functions (``preprocess`` to ``evaluate_cv``) are the one place where
+config fields become calls; ``run_pipeline`` and the CLI are built from them.
+"""
 
 from __future__ import annotations
 
@@ -23,25 +27,31 @@ class CaseResult:
     features: feat.FeatureVector
 
 
+def preprocess(img: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
+    return image.preprocess(img, cfg.denoise_radius, cfg.unsharp_amount, cfg.unsharp_radius)
+
+
+def segment(
+    pre: np.ndarray, seed_x: int, seed_y: int, cfg: PipelineConfig
+) -> tuple[slic.SuperpixelLabeling, roi.RoiMask]:
+    """Superpixels of the preprocessed image, and the ROI grown from the seed."""
+    labeling = slic.slic(pre, cfg.slic_params())
+    threshold = roi.default_threshold(pre) if cfg.grow_threshold is None else cfg.grow_threshold
+    mask = roi.grow(pre, labeling, roi.SeedSpec(seed_x, seed_y), roi.GrowParams(threshold))
+    return labeling, mask
+
+
+def features(pre: np.ndarray, roi_mask: roi.RoiMask, cfg: PipelineConfig) -> feat.FeatureVector:
+    return feat.extract_all(pre, roi_mask, cfg.glcm_spec(), cfg.posterior_fraction)
+
+
 def process_case(
     img: np.ndarray, seed_x: int, seed_y: int, cfg: PipelineConfig, name: str = ""
 ) -> CaseResult:
     """Preprocess, segment from the seed, and extract the feature vector."""
-    pre = image.preprocess(
-        img,
-        denoise_radius=cfg.denoise_radius if cfg.denoise_radius > 0 else None,
-        unsharp_amount=cfg.unsharp_amount,
-        unsharp_radius=cfg.unsharp_radius,
-    )
-    labeling = slic.slic(pre, cfg.slic_params())
-    threshold = cfg.grow_threshold
-    if threshold is None:
-        threshold = roi.default_threshold(pre)
-    mask = roi.grow(
-        pre, labeling, roi.SeedSpec(seed_x, seed_y, "annotated-center"),
-        roi.GrowParams(threshold),
-    )
-    fv = feat.extract_all(pre, mask, cfg.glcm_spec(), cfg.posterior_fraction)
+    pre = preprocess(img, cfg)
+    labeling, mask = segment(pre, seed_x, seed_y, cfg)
+    fv = features(pre, mask, cfg)
     return CaseResult(name=name, preprocessed=pre, labeling=labeling, roi_mask=mask, features=fv)
 
 
@@ -87,21 +97,31 @@ def rows_to_matrix(
     return x, y, ids
 
 
+def grid_search(
+    x: np.ndarray, y: np.ndarray, ids: list[str], cfg: PipelineConfig
+) -> svm.GridSearchResult:
+    return svm.grid_search(
+        x, y, ids, k=cfg.folds, seed=cfg.seed,
+        c_exponents=cfg.c_exponents, g_exponents=cfg.g_exponents, kernel=cfg.kernel,
+    )
+
+
+def train(x: np.ndarray, y: np.ndarray, cfg: PipelineConfig) -> svm.SmoSVC:
+    return svm.SmoSVC(c=cfg.svm_c, kernel=cfg.kernel, gamma=cfg.svm_gamma).fit(x, y)
+
+
 def evaluate_cv(
     x: np.ndarray, y: np.ndarray, ids: list[str], cfg: PipelineConfig
 ) -> tuple[list[metrics.ConfusionCounts], metrics.RocCurve]:
     """Per-fold confusion counts plus a pooled ROC over held-out decisions."""
     folds = svm.cross_validate(
-        x, y, ids, cfg.folds, cfg.seed,
-        c=cfg.svm_c, kernel=cfg.kernel, gamma=cfg.svm_gamma,
-        coef0=cfg.svm_coef0, tol=cfg.svm_tol, max_passes=cfg.svm_max_passes,
+        x, y, ids, cfg.folds, cfg.seed, c=cfg.svm_c, kernel=cfg.kernel, gamma=cfg.svm_gamma
     )
     per_fold = [metrics.accumulate(f.predictions, y[f.test_idx]) for f in folds]
     decisions = np.empty(len(y))
     for f in folds:
         decisions[f.test_idx] = f.decisions
-    curve = metrics.roc(decisions, y)
-    return per_fold, curve
+    return per_fold, metrics.roc(decisions, y)
 
 
 def run_pipeline(annotations_path: str, cfg: PipelineConfig, out_dir: str) -> dict:
@@ -113,9 +133,9 @@ def run_pipeline(annotations_path: str, cfg: PipelineConfig, out_dir: str) -> di
     """
     with open(annotations_path) as fh:
         rows = roi.read_annotations(fh.read())
-    labels = {rec["label"] for rec in rows}
-    if not {"benign", "malignant"} <= labels:
-        raise ValueError("annotations need at least one benign and one malignant case")
+    labels = [rec["label"] for rec in rows]
+    if min(labels.count("benign"), labels.count("malignant")) < cfg.folds:
+        raise ValueError(f"annotations need {cfg.folds} benign and {cfg.folds} malignant cases")
     os.makedirs(out_dir, exist_ok=True)
     batch = extract_batch(rows, os.path.dirname(os.path.abspath(annotations_path)), cfg)
     _write(out_dir, "features.csv", feat.write_feature_csv(batch.feature_rows))
@@ -127,26 +147,16 @@ def run_pipeline(annotations_path: str, cfg: PipelineConfig, out_dir: str) -> di
         _write(out_dir, "errors.csv", out.getvalue())
 
     x, y, ids = rows_to_matrix(batch.feature_rows)
-    search = svm.grid_search(
-        x, y, ids, k=cfg.folds, seed=cfg.seed,
-        c_exponents=cfg.c_exponents, g_exponents=cfg.g_exponents, kernel=cfg.kernel,
-    )
+    search = grid_search(x, y, ids, cfg)
     _write(out_dir, "surface.csv", search.surface_csv())
     tuned = cfg.override(svm_c=search.best_c, svm_gamma=search.best_gamma)
-
-    clf = svm.SmoSVC(
-        c=tuned.svm_c, kernel=tuned.kernel, gamma=tuned.svm_gamma,
-        coef0=tuned.svm_coef0, tol=tuned.svm_tol, max_passes=tuned.svm_max_passes,
-    ).fit(x, y)
-    _write(out_dir, "model.json", svm.model_to_json(clf))
+    _write(out_dir, "model.json", svm.model_to_json(train(x, y, tuned)))
 
     per_fold, curve = evaluate_cv(x, y, ids, tuned)
     _write(out_dir, "report.csv", metrics.report_csv(per_fold))
     _write(out_dir, "roc.csv", metrics.roc_csv(curve))
 
-    total = metrics.ConfusionCounts()
-    for c in per_fold:
-        total = total + c
+    total = sum(per_fold, metrics.ConfusionCounts())
     return {
         "cases": len(batch.feature_rows),
         "errors": len(batch.errors),

@@ -24,7 +24,6 @@ _MOORE = [(-1, 0), (-1, -1), (0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1)]
 class SeedSpec:
     x: int
     y: int
-    source: str = "manual"  # or "annotated-center"
 
 
 @dataclass(frozen=True)
@@ -42,6 +41,13 @@ class RoiMask:
     boundary: list[tuple[int, int]]  # closed, 8-connected, (x, y)
     area_px: int
     perimeter: float
+
+    @classmethod
+    def from_mask(cls, mask: np.ndarray) -> "RoiMask":
+        """The ROI of a (single-component) mask, with its traced boundary."""
+        mask = np.asarray(mask, dtype=bool)
+        boundary, perimeter = trace_boundary(mask)
+        return cls(mask=mask, boundary=boundary, area_px=int(mask.sum()), perimeter=perimeter)
 
 
 def block_means(img: np.ndarray, labeling: SuperpixelLabeling) -> np.ndarray:
@@ -80,8 +86,6 @@ def grow(
     h, w = img.shape
     if not (0 <= seed.x < w and 0 <= seed.y < h):
         raise ValueError(f"seed ({seed.x},{seed.y}) outside {w}x{h} image")
-    if params.threshold < 0:
-        raise ValueError("threshold must be >= 0")
     means = block_means(img, labeling)
     seed_label = int(labeling.labels[seed.y, seed.x])
     g_seed = means[seed_label]
@@ -102,9 +106,7 @@ def grow(
 
     mask = np.isin(labeling.labels, sorted(accepted))
     comp, _ = ndimage.label(mask, structure=_FOUR_CONNECTED)
-    mask = comp == comp[seed.y, seed.x]
-    boundary, perimeter = trace_boundary(mask)
-    return RoiMask(mask=mask, boundary=boundary, area_px=int(mask.sum()), perimeter=perimeter)
+    return RoiMask.from_mask(comp == comp[seed.y, seed.x])
 
 
 def trace_boundary(mask: np.ndarray) -> tuple[list[tuple[int, int]], float]:
@@ -222,39 +224,39 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 def read_annotations(text: str) -> list[dict]:
     """Parse the annotation CSV: image,seed_x,seed_y,label.
 
-    A row without exactly four fields, a non-integer seed, an unknown label or
-    an image named twice raises ``ValueError`` naming its 1-based line.
+    A row without exactly four fields, a non-integer seed, an unknown label,
+    an image named twice or a CSV syntax error raises ``ValueError`` naming its
+    1-based line.
     """
     reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames != ANNOTATION_FIELDS:
-        raise ValueError(f"bad annotation header {reader.fieldnames}, expected {ANNOTATION_FIELDS}")
     rows = []
-    first_line: dict[str, int] = {}
-    for rec in reader:
-        where = f"annotation line {reader.line_num}"
-        if None in rec or None in rec.values():
-            raise ValueError(f"{where}: expected {len(ANNOTATION_FIELDS)} fields")
-        if rec["label"] not in _LABELS:
-            raise ValueError(f"{where}: bad label {rec['label']!r} for {rec['image']}")
-        if rec["image"] in first_line:
+    try:
+        if reader.fieldnames != ANNOTATION_FIELDS:
             raise ValueError(
-                f"{where}: image {rec['image']!r} already annotated"
-                f" on line {first_line[rec['image']]}"
+                f"bad annotation header {reader.fieldnames}, expected {ANNOTATION_FIELDS}"
             )
-        first_line[rec["image"]] = reader.line_num
-        # int() alone would also take "1_0", " 3" and non-ASCII digits
-        if not all(_INTEGER.fullmatch(rec[k]) for k in ("seed_x", "seed_y")):
-            raise ValueError(
-                f"{where}: seed ({rec['seed_x']!r}, {rec['seed_y']!r}) is not two integers"
-            )
-        rows.append(
-            {
-                "image": rec["image"],
-                "seed_x": int(rec["seed_x"]),
-                "seed_y": int(rec["seed_y"]),
-                "label": rec["label"],
-            }
-        )
+        first_line: dict[str, int] = {}
+        for rec in reader:
+            where = f"annotation line {reader.line_num}"
+            if None in rec or None in rec.values():
+                raise ValueError(f"{where}: expected {len(ANNOTATION_FIELDS)} fields")
+            if rec["label"] not in _LABELS:
+                raise ValueError(f"{where}: bad label {rec['label']!r} for {rec['image']}")
+            if rec["image"] in first_line:
+                raise ValueError(
+                    f"{where}: image {rec['image']!r} already annotated"
+                    f" on line {first_line[rec['image']]}"
+                )
+            first_line[rec["image"]] = reader.line_num
+            # int() alone would also take "1_0", " 3" and non-ASCII digits
+            if not all(_INTEGER.fullmatch(rec[k]) for k in ("seed_x", "seed_y")):
+                raise ValueError(
+                    f"{where}: seed ({rec['seed_x']!r}, {rec['seed_y']!r}) is not two integers"
+                )
+            rows.append({**rec, "seed_x": int(rec["seed_x"]), "seed_y": int(rec["seed_y"])})
+    except csv.Error as exc:  # e.g. a bare carriage return inside a row
+        # DictReader.line_num only advances after a row parses
+        raise ValueError(f"annotation line {max(reader.reader.line_num, 1)}: {exc}") from None
     return rows
 
 

@@ -1,9 +1,9 @@
 """Soft-margin SVM trained by sequential minimal optimization.
 
-Kernels: RBF (gamma form, with the width delta = 1/sqrt(gamma) exposed for
-convenience), sigmoid and linear. Includes min-max feature normalization,
-stratified k-fold splitting keyed on case ids, and exponent-lattice grid
-search over (C, gamma).
+Kernels: RBF, K(a, b) = exp(-gamma * ||a - b||^2), and linear. Includes
+min-max feature normalization, stratified k-fold splitting keyed on case ids,
+exponent-lattice grid search over (C, gamma) and JSON model persistence. The
+solver's tolerance and sweep budget are ``smo_solve``'s defaults everywhere.
 """
 
 from __future__ import annotations
@@ -14,24 +14,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _CHANGE_EPS = 1e-5  # minimum meaningful alpha step inside SMO
+KERNELS = ("rbf", "linear")
 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    kind: str = "rbf"  # rbf | sigmoid | linear
+    kind: str = "rbf"
     gamma: float = 1.0
-    coef0: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("rbf", "sigmoid", "linear"):
+        if self.kind not in KERNELS:
             raise ValueError(f"unknown kernel {self.kind!r}")
         if self.kind == "rbf" and self.gamma <= 0:
             raise ValueError("rbf gamma must be > 0")
-
-    @property
-    def delta(self) -> float:
-        """RBF width such that K = exp(-||x-y||^2 / delta^2)."""
-        return 1.0 / np.sqrt(self.gamma)
 
 
 def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -42,14 +37,8 @@ def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(f"dimension mismatch {a.shape[1]} vs {b.shape[1]}")
     if spec.kind == "linear":
         return a @ b.T
-    if spec.kind == "sigmoid":
-        return np.tanh(spec.gamma * (a @ b.T) + spec.coef0)
     sq = (a**2).sum(axis=1)[:, None] + (b**2).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
     return np.exp(-spec.gamma * np.maximum(sq, 0.0))
-
-
-def kernel_eval(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
-    return float(kernel_matrix(spec, np.atleast_2d(x), np.atleast_2d(y))[0, 0])
 
 
 def smo_solve(
@@ -173,14 +162,9 @@ def smo_solve(
         at_zero = alpha <= _CHANGE_EPS
         lower = v[(at_zero & (y > 0)) | (~at_zero & (y < 0))]
         upper = v[(at_zero & (y < 0)) | (~at_zero & (y > 0))]
-        b_lo = lower.max() if len(lower) else None
-        b_hi = upper.min() if len(upper) else None
-        if b_lo is not None and b_hi is not None:
-            b = float(0.5 * (b_lo + b_hi))
-        elif b_lo is not None:
-            b = float(b_lo)
-        elif b_hi is not None:
-            b = float(b_hi)
+        ends = ([lower.max()] if len(lower) else []) + ([upper.min()] if len(upper) else [])
+        if ends:  # the interval's midpoint, or its one bounded end
+            b = float(np.mean(ends))
     return alpha, b
 
 
@@ -230,9 +214,6 @@ class MinMaxNormalizer:
         out[:, ok] = (x[:, ok] - self.min_[ok]) / span[ok]
         return np.clip(out, 0.0, 1.0)
 
-    def fit_transform(self, x: np.ndarray) -> np.ndarray:
-        return self.fit(x).transform(x)
-
 
 class SmoSVC:
     """Binary SVM classifier (labels +1 / -1) in the fit/predict style.
@@ -243,52 +224,17 @@ class SmoSVC:
     """
 
     def __init__(
-        self,
-        c: float = 1.0,
-        kernel: str = "rbf",
-        gamma: float = 1.0,
-        coef0: float = 0.0,
-        tol: float = 1e-3,
-        max_passes: int = 200,
-        normalize: bool = True,
+        self, c: float = 1.0, kernel: str = "rbf", gamma: float = 1.0, normalize: bool = True
     ):
         if c <= 0:
             raise ValueError("c must be > 0")
-        if tol <= 0:
-            raise ValueError("tol must be > 0")
         self.c = c
-        self.kernel = kernel
-        self.gamma = gamma
-        self.coef0 = coef0
-        self.tol = tol
-        self.max_passes = max_passes
+        self.kernel_spec = KernelSpec(kind=kernel, gamma=gamma)
         self.normalize = normalize
         self.support_vectors_ = None
         self.dual_coef_ = None  # alpha_i * y_i per stored vector
         self.intercept_ = 0.0
         self.normalizer_ = None
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {
-            "c": self.c,
-            "kernel": self.kernel,
-            "gamma": self.gamma,
-            "coef0": self.coef0,
-            "tol": self.tol,
-            "max_passes": self.max_passes,
-            "normalize": self.normalize,
-        }
-
-    def set_params(self, **params) -> "SmoSVC":
-        for key, value in params.items():
-            if key not in self.get_params():
-                raise ValueError(f"unknown parameter {key!r}")
-            setattr(self, key, value)
-        return self
-
-    @property
-    def kernel_spec(self) -> KernelSpec:
-        return KernelSpec(kind=self.kernel, gamma=self.gamma, coef0=self.coef0)
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "SmoSVC":
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -303,7 +249,7 @@ class SmoSVC:
         else:
             self.normalizer_ = None
         k_mat = kernel_matrix(self.kernel_spec, x, x)
-        alpha, b = smo_solve(k_mat, y, self.c, tol=self.tol, max_passes=self.max_passes)
+        alpha, b = smo_solve(k_mat, y, self.c)
         sv = alpha > 1e-9
         self.support_vectors_ = x[sv]
         self.dual_coef_ = (alpha * y)[sv]
@@ -368,12 +314,7 @@ class FoldResult:
 
 
 def cross_validate(
-    x: np.ndarray,
-    y: np.ndarray,
-    ids: list[str],
-    k: int,
-    seed: int,
-    **svc_params,
+    x: np.ndarray, y: np.ndarray, ids: list[str], k: int, seed: int, **svc_params
 ) -> list[FoldResult]:
     """Train on k-1 folds, score the held-out fold, for every fold."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -384,28 +325,16 @@ def cross_validate(
         train_mask[test_idx] = False
         clf = SmoSVC(**svc_params).fit(x[train_mask], y[train_mask])
         dec = clf.decision_function(x[test_idx])
-        results.append(
-            FoldResult(
-                test_idx=test_idx,
-                predictions=np.where(dec > 0, 1, -1).astype(int),
-                decisions=dec,
-            )
-        )
+        results.append(FoldResult(test_idx, np.where(dec > 0, 1, -1).astype(int), dec))
     return results
-
-
-def cv_accuracy(x, y, ids, k, seed, **svc_params) -> float:
-    folds = cross_validate(x, y, ids, k, seed, **svc_params)
-    correct = sum(int(np.sum(f.predictions == np.asarray(y)[f.test_idx])) for f in folds)
-    return correct / len(y)
 
 
 DEFAULT_EXPONENTS = (-8.0, 8.0, 0.4)  # start, stop (inclusive), step
 
 
 def exponent_lattice(start: float, stop: float, step: float) -> np.ndarray:
-    if step <= 0:
-        raise ValueError("step must be > 0")
+    if step <= 0 or stop < start:
+        raise ValueError(f"exponents {(start, stop, step)}: need stop >= start and step > 0")
     n = int(round((stop - start) / step))
     return start + step * np.arange(n + 1)
 
@@ -443,9 +372,11 @@ def grid_search(
     surface = []
     for a in c_axis:
         for g in g_axis:
-            acc = cv_accuracy(
+            folds = cross_validate(
                 x, y, ids, k, seed, c=float(2.0**a), kernel=kernel, gamma=float(2.0**g)
             )
+            correct = sum(int(np.sum(f.predictions == np.asarray(y)[f.test_idx])) for f in folds)
+            acc = correct / len(y)
             surface.append((float(a), float(g), acc))
             if best is None or acc > best[0]:
                 best = (acc, float(2.0**a), float(2.0**g))
@@ -461,7 +392,7 @@ def model_to_json(clf: SmoSVC) -> str:
     norm = clf.normalizer_
     payload = {
         "version": 1,
-        "kernel": {"kind": clf.kernel, "gamma": clf.gamma, "coef0": clf.coef0},
+        "kernel": {"kind": clf.kernel_spec.kind, "gamma": clf.kernel_spec.gamma},
         "c": clf.c,
         "norm_min": None if norm is None else norm.min_.tolist(),
         "norm_max": None if norm is None else norm.max_.tolist(),
@@ -473,23 +404,30 @@ def model_to_json(clf: SmoSVC) -> str:
 
 
 def model_from_json(text: str) -> SmoSVC:
+    """Inverse of ``model_to_json``. A document that is not such a model (not
+    an object, a missing field, an unknown kernel) raises ``ValueError``; keys
+    it does not use, such as an older file's ``coef0``, are ignored."""
     payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError("model must be a JSON object")
     if payload.get("version") != 1:
         raise ValueError(f"unsupported model version {payload.get('version')!r}")
-    clf = SmoSVC(
-        c=payload["c"],
-        kernel=payload["kernel"]["kind"],
-        gamma=payload["kernel"]["gamma"],
-        coef0=payload["kernel"]["coef0"],
-    )
-    clf.support_vectors_ = np.array(payload["support_vectors"], dtype=np.float64)
-    clf.dual_coef_ = np.array(payload["alphas"], dtype=np.float64)
-    clf.intercept_ = float(payload["bias"])
-    if payload["norm_min"] is not None:
-        norm = MinMaxNormalizer()
-        norm.min_ = np.array(payload["norm_min"], dtype=np.float64)
-        norm.max_ = np.array(payload["norm_max"], dtype=np.float64)
-        clf.normalizer_ = norm
-    else:
-        clf.normalize = False
+    try:
+        clf = SmoSVC(
+            c=payload["c"], kernel=payload["kernel"]["kind"], gamma=payload["kernel"]["gamma"]
+        )
+        clf.support_vectors_ = np.array(payload["support_vectors"], dtype=np.float64)
+        clf.dual_coef_ = np.array(payload["alphas"], dtype=np.float64)
+        clf.intercept_ = float(payload["bias"])
+        if payload["norm_min"] is not None:
+            norm = MinMaxNormalizer()
+            norm.min_ = np.array(payload["norm_min"], dtype=np.float64)
+            norm.max_ = np.array(payload["norm_max"], dtype=np.float64)
+            clf.normalizer_ = norm
+        else:
+            clf.normalize = False
+    except KeyError as exc:
+        raise ValueError(f"model lacks field {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed model: {exc}") from None
     return clf

@@ -83,6 +83,23 @@ class TestPreprocess:
         img = image.read_pgm(out.read_bytes())
         assert img.shape == (160, 160)
 
+    def test_denoise_radius_zero_skips_median(self, dataset_dir, tmp_path):
+        src = dataset_dir / _first_case(dataset_dir)["image"]
+        raw = image.read_pgm(src.read_bytes())
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(PipelineConfig(denoise_radius=0).to_json())
+        by_flag, by_config = tmp_path / "flag.pgm", tmp_path / "config.pgm"
+        assert main(["preprocess", str(src), str(by_flag), "--denoise-radius", "0"]) == 0
+        assert main(["preprocess", str(src), str(by_config), "--config", str(cfg_path)]) == 0
+        equalized = image.histogram_equalize(raw)
+        assert np.array_equal(image.read_pgm(by_flag.read_bytes()), equalized)
+        assert by_config.read_bytes() == by_flag.read_bytes()
+        # the flag wins over the file
+        assert main(["preprocess", str(src), str(by_flag), "--config", str(cfg_path),
+                     "--denoise-radius", "1"]) == 0
+        assert np.array_equal(image.read_pgm(by_flag.read_bytes()),
+                              image.denoise(equalized, 1))
+
 
 class TestSegment:
     def test_mask_and_contour(self, dataset_dir, tmp_path):
@@ -167,6 +184,66 @@ class TestFeaturesTrainEvaluate:
         assert len(lines) == 1 + 3 * 3
 
 
+class TestStagesMatchPipeline:
+    """The stage subcommands, given the pipeline's config, reproduce its
+    artifacts: each stage runs the same code as ``sonocad pipeline``."""
+
+    @pytest.fixture(scope="class")
+    def run(self, dataset_dir, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("stages")
+        cfg = PipelineConfig(
+            n_segments=40, glcm_levels=16, posterior_fraction=0.4, folds=2, seed=7,
+            c_exponents=(0.0, 2.0, 1.0), g_exponents=(-1.0, 1.0, 1.0),
+        )
+        cfg_path = tmp / "cfg.json"
+        cfg_path.write_text(cfg.to_json())
+        out = tmp / "run"
+        assert main(["pipeline", "--annotations", str(dataset_dir / "annotations.csv"),
+                     "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+        return tmp, str(cfg_path), out
+
+    def test_segment_then_features_gives_pipeline_rows(self, dataset_dir, run):
+        tmp, cfg_path, out = run
+        expected = out.joinpath("features.csv").read_text().strip().split("\n")[1:]
+        rows = roi.read_annotations((dataset_dir / "annotations.csv").read_text())
+        assert len(expected) == len(rows) == 8
+        for rec, line in zip(rows, expected):
+            src = str(dataset_dir / rec["image"])
+            mask, fv = tmp / "mask.pgm", tmp / "fv.csv"
+            assert main(["segment", src, "--config", cfg_path,
+                         "--seed", f"{rec['seed_x']},{rec['seed_y']}",
+                         "--out-mask", str(mask), "--out-contour", str(tmp / "c.txt")]) == 0
+            assert main(["features", src, str(mask), "--config", cfg_path,
+                         "--label", rec["label"], "--out", str(fv)]) == 0
+            got = fv.read_text().strip().split("\n")[1]
+            # the image column holds the path as given on the command line
+            assert got.split(",", 1)[1] == line.split(",", 1)[1], rec["image"]
+
+    def test_gridsearch_gives_pipeline_surface(self, run):
+        tmp, cfg_path, out = run
+        surface = tmp / "surface.csv"
+        assert main(["gridsearch", str(out / "features.csv"), "--config", cfg_path,
+                     "--out", str(surface)]) == 0
+        assert surface.read_bytes() == (out / "surface.csv").read_bytes()
+
+    def test_evaluate_gives_pipeline_report(self, run):
+        tmp, cfg_path, out = run
+        report, roc_out = tmp / "report.csv", tmp / "roc.csv"
+        assert main(["evaluate", str(out / "model.json"), str(out / "features.csv"),
+                     "--config", cfg_path, "--out", str(report), "--roc", str(roc_out)]) == 0
+        assert report.read_bytes() == (out / "report.csv").read_bytes()
+        assert roc_out.read_bytes() == (out / "roc.csv").read_bytes()
+
+    @pytest.mark.parametrize("model", ["[1, 2]", '{"version": 1}'], ids=["array", "no-fields"])
+    def test_bad_model_is_parse_error(self, run, model):
+        tmp, _, out = run
+        path = tmp / "bad_model.json"
+        path.write_text(model)
+        rc = main(["evaluate", str(path), str(out / "features.csv"),
+                   "--out", str(tmp / "r.csv")])
+        assert rc == 2
+
+
 class TestPhantomCommand:
     def test_generates_dataset(self, tmp_path):
         out = tmp_path / "data"
@@ -243,8 +320,10 @@ class TestPipelineCommand:
             ["a.pgm,3,4,benign", "b.pgm,5,6,malignant", "a.pgm,1,1,malignant"],
             ["a.pgm,3,4,benign", "b.pgm,5.5,6,malignant"],
             ["a.pgm,3,4,benign", "b.pgm,5,6,benign", "c.pgm,1,1,unknown"],
+            # five folds by default, so each class needs five cases
+            [f"{c}{i}.pgm,3,4,{c}" for c in ("benign", "malignant") for i in range(4)],
         ],
-        ids=["duplicate-image", "non-integer-seed", "single-class"],
+        ids=["duplicate-image", "non-integer-seed", "single-class", "fewer-cases-than-folds"],
     )
     def test_bad_annotations_exit_2_before_extraction(self, tmp_path, monkeypatch, rows):
         def never(*args, **kwargs):
@@ -255,6 +334,25 @@ class TestPipelineCommand:
         ann.write_text("image,seed_x,seed_y,label\n" + "\n".join(rows) + "\n")
         out = tmp_path / "run"
         assert main(["pipeline", "--annotations", str(ann), "--out-dir", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "doc",
+        ["[1]", '{"version": 1, "n_segments": "50"}', '{"version": 1, "c_exponents": [0, 1]}',
+         '{"version": 1, "svm_tol": 0.001}', '{"version": 1, "folds": 1}',
+         '{"version": 1, "glcm_angles": [30]}', '{"version": 1, "c_exponents": [2, 0, 1]}'],
+        ids=["not-an-object", "string-for-int", "two-exponents", "removed-field", "one-fold",
+             "unsupported-angle", "reversed-exponents"],
+    )
+    def test_bad_config_exit_2_before_extraction(self, dataset_dir, tmp_path, monkeypatch, doc):
+        def never(*args, **kwargs):
+            raise AssertionError("process_case called")
+
+        monkeypatch.setattr(pipeline, "process_case", never)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(doc)
+        out = tmp_path / "run"
+        assert self._run(dataset_dir, out, cfg_path) == 2
         assert not out.exists()
 
 
@@ -270,3 +368,43 @@ class TestConfig:
     def test_wrong_version_rejected(self):
         with pytest.raises(ValueError):
             PipelineConfig.from_json('{"version": 7}')
+
+    @pytest.mark.parametrize("doc, match", [
+        ("[1]", "JSON object"),
+        ('"text"', "JSON object"),
+        ('{"version": 1, "n_segments": "50"}', "n_segments"),
+        ('{"version": 1, "n_segments": 50.0}', "n_segments"),
+        ('{"version": 1, "svm_c": true}', "svm_c"),
+        ('{"version": 1, "c_exponents": [0, 1]}', "c_exponents"),
+        ('{"version": 1, "g_exponents": [0, 1, 1, 1]}', "g_exponents"),
+        ('{"version": 1, "g_exponents": 3}', "g_exponents"),
+        ('{"version": 1, "glcm_angles": []}', "glcm_angles"),
+        ('{"version": 1, "glcm_angles": [0, "45"]}', "glcm_angles"),
+        ('{"version": 1, "grow_threshold": "high"}', "grow_threshold"),
+        ('{"version": 1, "kernel": "sigmoid"}', "kernel"),
+        ('{"version": 1, "svm_gamma": 0}', "gamma"),
+        ('{"version": 1, "n_segments": 0}', "n_segments"),
+        ('{"version": 1, "slic_max_iters": 0}', "max_iters"),
+        ('{"version": 1, "glcm_levels": 1}', "levels"),
+        ('{"version": 1, "glcm_angles": [30]}', "angles"),
+        ('{"version": 1, "denoise_radius": -1}', "denoise_radius"),
+        ('{"version": 1, "folds": 1}', "folds"),
+        ('{"version": 1, "c_exponents": [2, 0, 1]}', "exponents"),
+        ('{"version": 1, "g_exponents": [0, 1, 0]}', "exponents"),
+        ('{"version": 1, "grow_threshold": -1}', "threshold"),
+        ('{"version": 1, "svm_coef0": 0.0}', "svm_coef0"),
+        ('{"version": 1, "svm_max_passes": 200}', "svm_max_passes"),
+    ])
+    def test_bad_document_names_field(self, doc, match):
+        with pytest.raises(ValueError, match=match):
+            PipelineConfig.from_json(doc)
+
+    def test_ints_accepted_for_floats(self):
+        cfg = PipelineConfig.from_json(
+            '{"version": 1, "svm_c": 2, "grow_threshold": 30, "c_exponents": [0, 2, 1]}'
+        )
+        assert (cfg.svm_c, cfg.grow_threshold, cfg.c_exponents) == (2, 30, (0, 2, 1))
+
+    def test_override_checks_types(self):
+        with pytest.raises(ValueError, match="folds"):
+            PipelineConfig().override(folds="5")

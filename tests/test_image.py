@@ -66,6 +66,30 @@ class TestPgm:
         canon = image.write_pgm(img)
         assert image.write_pgm(image.read_pgm(canon)) == canon
 
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_fuzz_only_parse_errors_escape(self, data):
+        # near-valid headers (small sizes, maxvals around 255, comments,
+        # missing separators) and plain random bytes
+        magic = data.draw(st.sampled_from([b"P5", b"P2", b"P6", b"P", b""]))
+        token = st.one_of(
+            st.integers(-2, 4).map(lambda v: str(v).encode()),
+            st.sampled_from([b"1", b"15", b"255", b"256", b"0x10", b"\xd9\xa3", b"+3"]),
+            st.binary(max_size=3),
+        )
+        sep = st.sampled_from([b" ", b"\n", b"\t", b"\r\n", b" #c\n", b"#", b""])
+        head = magic + b"".join(
+            data.draw(sep) + data.draw(token) for _ in range(data.draw(st.integers(0, 4)))
+        )
+        stream = head + data.draw(sep) + data.draw(st.binary(max_size=20))
+        if data.draw(st.booleans()):
+            stream = data.draw(st.binary(max_size=40))
+        try:
+            img = image.read_pgm(stream)
+        except ValueError:  # PgmParseError is a ValueError
+            return
+        assert img.dtype == np.uint8 and img.ndim == 2 and img.size > 0
+
 
 class TestEqualize:
     def test_constant_maps_to_zero(self):

@@ -133,6 +133,15 @@ class TestRoc:
         with pytest.raises(ValueError):
             metrics.roc([1.0, 2.0], [1, 1])
 
+    def test_nan_decision_rejected(self):
+        # NaN equals nothing, not even itself, so it cannot join a tie block
+        with pytest.raises(ValueError, match="NaN"):
+            metrics.roc([0.5, float("nan"), -0.5], [1, 1, -1])
+
+    def test_tie_blocks_give_one_point_each(self):
+        curve = metrics.roc([2.0, 1.0, 1.0, 1.0, -0.0, 0.0], [1, 1, -1, 1, -1, -1])
+        assert curve.points == [(0.0, 0.0), (0.0, 1 / 3), (1 / 3, 1.0), (1.0, 1.0)]
+
     def test_csv(self):
         curve = metrics.roc([1.0, -1.0], [1, -1])
         text = metrics.roc_csv(curve)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sonocad import image, phantom, roi
 from sonocad.slic import SlicParams, slic
@@ -85,6 +87,10 @@ class TestGrow:
         big = roi.grow(pre, labeling, seed, roi.GrowParams(80.0))
         # containment holds for the seed component as well on this phantom
         assert not (small.mask & ~big.mask).any()
+
+    def test_negative_threshold_rejected(self):
+        with pytest.raises(ValueError, match="threshold"):
+            roi.GrowParams(-1.0)
 
     def test_seed_out_of_bounds(self):
         case, pre, labeling = self._setup()
@@ -179,6 +185,34 @@ class TestAnnotations:
         text = "image,seed_x,seed_y,label\na.pgm,1,2,weird\n"
         with pytest.raises(ValueError):
             roi.read_annotations(text)
+
+    def test_csv_syntax_error_names_its_line(self):
+        # a bare carriage return inside a row is a csv.Error, not a ValueError
+        text = "image,seed_x,seed_y,label\na.pgm,1,2,benign\n\r,\n"
+        with pytest.raises(ValueError, match="annotation line 3: new-line character"):
+            roi.read_annotations(text)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_fuzz_only_value_error_escapes(self, data):
+        header = ",".join(roi.ANNOTATION_FIELDS) + "\n"
+        cell = st.one_of(
+            st.text(max_size=5),
+            st.integers(-3, 300).map(str),
+            st.sampled_from(["benign", "malignant", "unknown", "a.pgm", '"', "1_0", " 3"]),
+        )
+        row = st.lists(cell, max_size=6).map(",".join)
+        body = data.draw(st.lists(row, max_size=4).map("\n".join))
+        text = data.draw(st.sampled_from(["", header])) + body
+        if data.draw(st.booleans()):
+            text = data.draw(st.text(max_size=40))
+        try:
+            rows = roi.read_annotations(text)
+        except ValueError:
+            return
+        for rec in rows:
+            assert list(rec) == roi.ANNOTATION_FIELDS
+            assert type(rec["seed_x"]) is int and type(rec["seed_y"]) is int
 
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):

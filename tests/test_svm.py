@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ class TestNormalizer:
     def test_fit_transform_spans_unit_interval(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(20, 4)) * [1, 10, 100, 1000]
-        out = svm.MinMaxNormalizer().fit_transform(x)
+        out = svm.MinMaxNormalizer().fit(x).transform(x)
         assert np.allclose(out.min(axis=0), 0.0)
         assert np.allclose(out.max(axis=0), 1.0)
 
@@ -35,23 +36,18 @@ class TestKernels:
     def test_rbf_self_similarity(self):
         spec = svm.KernelSpec("rbf", gamma=0.7)
         x = np.array([1.0, 2.0, 3.0])
-        assert svm.kernel_eval(spec, x, x) == pytest.approx(1.0)
+        assert svm.kernel_matrix(spec, x, x)[0, 0] == pytest.approx(1.0)
 
     def test_rbf_at_reported_width(self):
         # gamma = 0.43528, unit squared distance
         spec = svm.KernelSpec("rbf", gamma=0.43528)
-        assert svm.kernel_eval(spec, np.array([0.0]), np.array([1.0])) == pytest.approx(
+        assert svm.kernel_matrix(spec, np.array([0.0]), np.array([1.0]))[0, 0] == pytest.approx(
             math.exp(-0.43528), rel=1e-12
         )
-        assert spec.delta == pytest.approx(1.0 / math.sqrt(0.43528))
-
-    def test_sigmoid_zero_dot(self):
-        spec = svm.KernelSpec("sigmoid", gamma=1.0, coef0=0.0)
-        assert svm.kernel_eval(spec, np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            svm.kernel_eval(svm.KernelSpec("rbf"), np.array([1.0]), np.array([1.0, 2.0]))
+            svm.kernel_matrix(svm.KernelSpec("rbf"), np.array([1.0]), np.array([1.0, 2.0]))
 
     def test_rbf_gram_positive_semidefinite(self):
         rng = np.random.default_rng(1)
@@ -158,13 +154,6 @@ class TestSmo:
             atol=1e-2,
         )
 
-    def test_get_set_params(self):
-        clf = svm.SmoSVC()
-        clf.set_params(c=3.0, gamma=0.2)
-        assert clf.get_params()["c"] == 3.0
-        with pytest.raises(ValueError):
-            clf.set_params(bogus=1)
-
 
 class TestKfold:
     def _ids(self, n):
@@ -234,6 +223,14 @@ class TestGridSearch:
         assert len(res.surface) == 1
         assert res.surface[0][2] == res.best_accuracy
 
+    @pytest.mark.parametrize("exponents", [(2.0, 0.0, 1.0), (0.0, 1.0, 0.0), (0.0, 1.0, -1.0)])
+    def test_empty_or_endless_lattice_rejected(self, exponents):
+        # a stop below the start once left the lattice empty and grid_search
+        # failed with a TypeError on its missing best cell
+        x, y, ids = _toy_problem()
+        with pytest.raises(ValueError, match="exponents"):
+            svm.grid_search(x, y, ids, k=3, c_exponents=exponents, g_exponents=(0.0, 0.0, 1.0))
+
     def test_best_is_argmax(self):
         x, y, ids = _toy_problem()
         res = svm.grid_search(x, y, ids, k=3, seed=0,
@@ -280,6 +277,31 @@ class TestPersistence:
     def test_rejects_unknown_version(self):
         with pytest.raises(ValueError):
             svm.model_from_json('{"version": 99}')
+
+    @pytest.mark.parametrize("mutate, match", [
+        (lambda m: [1, 2], "JSON object"),
+        (lambda m: {"version": 1}, "lacks field"),
+        (lambda m: {k: v for k, v in m.items() if k != "alphas"}, "lacks field 'alphas'"),
+        (lambda m: {**m, "kernel": {"gamma": 1.0}}, "lacks field 'kind'"),
+        (lambda m: {**m, "kernel": {"kind": "sigmoid", "gamma": 1.0}}, "unknown kernel"),
+        (lambda m: {**m, "kernel": 3}, "malformed"),
+    ], ids=["array", "version-only", "no-alphas", "no-kind", "sigmoid", "kernel-not-object"])
+    def test_rejects_malformed_model(self, mutate, match):
+        x, y, ids = _toy_problem()
+        model = json.loads(svm.model_to_json(svm.SmoSVC(c=4.0, gamma=0.8).fit(x, y)))
+        with pytest.raises(ValueError, match=match):
+            svm.model_from_json(json.dumps(mutate(model)))
+
+    def test_loads_model_with_coef0(self):
+        # files written before the sigmoid kernel was removed carry coef0
+        x, y, ids = _toy_problem()
+        clf = svm.SmoSVC(c=4.0, gamma=0.8).fit(x, y)
+        model = json.loads(svm.model_to_json(clf))
+        assert "coef0" not in model["kernel"]
+        model["kernel"]["coef0"] = 0.0
+        clone = svm.model_from_json(json.dumps(model))
+        probe = np.random.default_rng(12).normal(size=(10, 2))
+        assert np.array_equal(clf.decision_function(probe), clone.decision_function(probe))
 
     def test_serialization_deterministic(self):
         x, y, ids = _toy_problem()
