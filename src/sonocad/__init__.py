@@ -6,7 +6,7 @@ from .features import FeatureVector, GlcmSpec, extract_all
 from .image import histogram_equalize, denoise, preprocess, read_pgm, write_pgm
 from .metrics import ConfusionCounts, RocCurve, accumulate, evaluate, roc
 from .phantom import PhantomSpec, generate, generate_dataset
-from .roi import GrowParams, RoiMask, SeedSpec, grow, trace_boundary
+from .roi import RoiMask, grow, trace_boundary
 from .slic import SlicParams, SuperpixelLabeling
 from .svm import MinMaxNormalizer, SmoSVC, grid_search, kfold_split
 
@@ -18,7 +18,7 @@ __all__ = [
     "histogram_equalize", "denoise", "preprocess", "read_pgm", "write_pgm",
     "ConfusionCounts", "RocCurve", "accumulate", "evaluate", "roc",
     "PhantomSpec", "generate", "generate_dataset",
-    "GrowParams", "RoiMask", "SeedSpec", "grow", "trace_boundary",
+    "RoiMask", "grow", "trace_boundary",
     "SlicParams", "SuperpixelLabeling",
     "MinMaxNormalizer", "SmoSVC", "grid_search", "kfold_split",
 ]

@@ -8,7 +8,6 @@ from typing import get_args, get_origin, get_type_hints
 
 from .features import GlcmSpec
 from .slic import SlicParams
-from .roi import GrowParams
 from .svm import KernelSpec, exponent_lattice
 
 CONFIG_VERSION = 1
@@ -54,12 +53,16 @@ class PipelineConfig:
         KernelSpec(self.kernel, self.svm_gamma)
         for triple in (self.c_exponents, self.g_exponents):
             exponent_lattice(*triple)
-        if self.grow_threshold is not None:
-            GrowParams(self.grow_threshold)
-        if self.denoise_radius < 0:
-            raise ValueError("config field denoise_radius: must be >= 0 (0 skips the filter)")
-        if self.folds < 2:
-            raise ValueError("config field folds: must be >= 2")
+        for name, ok, rule in [
+            ("denoise_radius", self.denoise_radius >= 0, ">= 0 (0 skips the filter)"),
+            ("unsharp_amount", self.unsharp_amount >= 0, ">= 0 (0 skips sharpening)"),
+            ("unsharp_radius", self.unsharp_radius >= 1, ">= 1"),
+            ("grow_threshold", self.grow_threshold is None or self.grow_threshold >= 0, ">= 0"),
+            ("posterior_fraction", self.posterior_fraction > 0, "> 0"),
+            ("folds", self.folds >= 2, ">= 2"),
+        ]:
+            if not ok:
+                raise ValueError(f"config field {name}: must be {rule}")
 
     def slic_params(self) -> SlicParams:
         return SlicParams(

@@ -139,6 +139,8 @@ def unsharp(img: np.ndarray, amount: float = 1.0, radius: int = 1) -> np.ndarray
     img = validate_image(img)
     if amount < 0:
         raise ValueError("amount must be >= 0")
+    if radius < 1:
+        raise ValueError("radius must be >= 1")
     if amount == 0:
         return img.copy()
     blur = ndimage.uniform_filter(img.astype(np.float64), size=2 * radius + 1, mode="nearest")
@@ -171,6 +173,6 @@ def preprocess(
     out = histogram_equalize(img)
     if denoise_radius != 0:
         out = denoise(out, denoise_radius)
-    if unsharp_amount > 0:
+    if unsharp_amount != 0:
         out = unsharp(out, unsharp_amount, unsharp_radius)
     return out

@@ -37,7 +37,7 @@ def segment(
     """Superpixels of the preprocessed image, and the ROI grown from the seed."""
     labeling = slic.slic(pre, cfg.slic_params())
     threshold = roi.default_threshold(pre) if cfg.grow_threshold is None else cfg.grow_threshold
-    mask = roi.grow(pre, labeling, roi.SeedSpec(seed_x, seed_y), roi.GrowParams(threshold))
+    mask = roi.grow(pre, labeling, seed_x, seed_y, threshold)
     return labeling, mask
 
 

@@ -20,21 +20,6 @@ from .slic import _FOUR_CONNECTED, SuperpixelLabeling, adjacency
 _MOORE = [(-1, 0), (-1, -1), (0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1)]
 
 
-@dataclass(frozen=True)
-class SeedSpec:
-    x: int
-    y: int
-
-
-@dataclass(frozen=True)
-class GrowParams:
-    threshold: float  # max |block mean - seed block mean|, gray levels
-
-    def __post_init__(self):
-        if self.threshold < 0:
-            raise ValueError("threshold must be >= 0")
-
-
 @dataclass
 class RoiMask:
     mask: np.ndarray  # bool, image shape
@@ -71,23 +56,23 @@ def default_threshold(img: np.ndarray) -> float:
 
 
 def grow(
-    img: np.ndarray,
-    labeling: SuperpixelLabeling,
-    seed: SeedSpec,
-    params: GrowParams,
+    img: np.ndarray, labeling: SuperpixelLabeling, seed_x: int, seed_y: int, threshold: float
 ) -> RoiMask:
-    """Grow the ROI over the superpixel graph from the seed's block.
+    """Grow the ROI over the superpixel graph from the block of the seed
+    pixel (seed_x, seed_y).
 
-    A neighboring block joins when |mean_i - mean_seed| < threshold (strict).
-    The union of accepted blocks is reduced to the seed's 4-connected
-    component and its boundary is traced clockwise.
+    A neighboring block joins when |mean_i - mean_seed| < threshold (strict;
+    gray levels, >= 0). The union of accepted blocks is reduced to the seed's
+    4-connected component and its boundary is traced clockwise.
     """
     img = validate_image(img)
     h, w = img.shape
-    if not (0 <= seed.x < w and 0 <= seed.y < h):
-        raise ValueError(f"seed ({seed.x},{seed.y}) outside {w}x{h} image")
+    if threshold < 0:
+        raise ValueError("threshold must be >= 0")
+    if not (0 <= seed_x < w and 0 <= seed_y < h):
+        raise ValueError(f"seed ({seed_x},{seed_y}) outside {w}x{h} image")
     means = block_means(img, labeling)
-    seed_label = int(labeling.labels[seed.y, seed.x])
+    seed_label = int(labeling.labels[seed_y, seed_x])
     g_seed = means[seed_label]
     neigh = adjacency(labeling)
 
@@ -99,14 +84,14 @@ def grow(
             for other in sorted(neigh[lab]):
                 if other in accepted:
                     continue
-                if abs(means[other] - g_seed) < params.threshold:
+                if abs(means[other] - g_seed) < threshold:
                     accepted.add(other)
                     nxt.append(other)
         frontier = nxt
 
     mask = np.isin(labeling.labels, sorted(accepted))
     comp, _ = ndimage.label(mask, structure=_FOUR_CONNECTED)
-    return RoiMask.from_mask(comp == comp[seed.y, seed.x])
+    return RoiMask.from_mask(comp == comp[seed_y, seed_x])
 
 
 def trace_boundary(mask: np.ndarray) -> tuple[list[tuple[int, int]], float]:

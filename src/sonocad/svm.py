@@ -3,17 +3,21 @@
 Kernels: RBF, K(a, b) = exp(-gamma * ||a - b||^2), and linear. Includes
 min-max feature normalization, stratified k-fold splitting keyed on case ids,
 exponent-lattice grid search over (C, gamma) and JSON model persistence. The
-solver's tolerance and sweep budget are ``smo_solve``'s defaults everywhere.
+solver's tolerance is ``smo_solve``'s default everywhere, and a fit that does
+not meet it within ``MAX_STEPS`` steps raises a RuntimeWarning.
 """
 
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-_CHANGE_EPS = 1e-5  # minimum meaningful alpha step inside SMO
+_CHANGE_EPS = 1e-5  # alphas this close to a bound do not set the bias
+_TAU = 1e-12  # stands in for a non-positive curvature a = K_ii + K_jj - 2 K_ij
+MAX_STEPS = 100_000  # step cap: ~100x the most steps (1,046) of a 120x9 fit on a 21x21 lattice
 KERNELS = ("rbf", "linear")
 
 
@@ -42,117 +46,53 @@ def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def smo_solve(
-    k_mat: np.ndarray,
-    y: np.ndarray,
-    c: float,
-    tol: float = 1e-3,
-    max_passes: int = 200,
+    k_mat: np.ndarray, y: np.ndarray, c: float, tol: float = 1e-3
 ) -> tuple[np.ndarray, float]:
-    """Platt-style SMO on a precomputed Gram matrix.
+    """SMO with LIBSVM's second-order working-set selection (Fan, Chen & Lin,
+    JMLR 2005) on a precomputed Gram matrix.
 
-    First index: KKT violators, scanned over non-bound points then over all
-    points. Second index: maximize |E1 - E2|, falling back to linear scans.
-    Returns (alpha, bias) with 0 <= alpha_i <= C and sum(alpha * y) = 0.
+    Keeps the gradient G = Q alpha - 1 with Q = (y y') * K. Each step pairs i,
+    the maximal violator of -y G over I_up, with the j of I_low that promises
+    the largest decrease, b^2 / a, and moves both to the optimum along their
+    direction, inside the box. It stops once the gap m - M between the largest
+    violations is at most ``tol`` (Keerthi et al., Neural Computation 2001),
+    which bounds every KKT residual by ``tol``, and warns (RuntimeWarning) if
+    ``MAX_STEPS`` steps do not get there. Returns (alpha, bias) with
+    0 <= alpha_i <= C and sum(alpha * y) = 0.
     """
-    n = len(y)
     y = np.asarray(y, dtype=np.float64)
-    alpha = np.zeros(n)
-    b = 0.0
-    errors = -y.copy()  # f(i) - y(i) with all-zero alpha, f = b = 0
+    pos = y > 0
+    diag = np.diag(k_mat)
+    alpha = np.zeros(len(y))
+    grad = -np.ones(len(y))
+    for steps in range(MAX_STEPS + 1):
+        v = -y * grad
+        up = np.where(pos, alpha < c, alpha > 0)
+        low = np.where(pos, alpha > 0, alpha < c)
+        v_up = np.where(up, v, -np.inf)
+        i = int(np.argmax(v_up))
+        m = v_up[i]
+        gap = m - np.where(low, v, np.inf).min()
+        if gap <= tol:
+            break
+        if steps == MAX_STEPS:
+            warnings.warn(f"SMO gap {gap:.3g} > tol {tol:g} after {steps} steps", RuntimeWarning)
+            break
+        k_i = k_mat[i]
+        b = m - v
+        a = diag[i] + diag - 2.0 * k_i
+        a[a <= 0] = _TAU
+        j = int(np.argmin(np.where(low & (b > 0), -b * b / a, np.inf)))
+        room_i = c - alpha[i] if pos[i] else alpha[i]
+        room_j = alpha[j] if pos[j] else c - alpha[j]
+        t = min(b[j] / a[j], room_i, room_j)
+        # a variable that hits its limit is set to it: a + (c - a) can round past c
+        alpha[i] = alpha[i] + y[i] * t if t < room_i else (c if pos[i] else 0.0)
+        alpha[j] = alpha[j] - y[j] * t if t < room_j else (0.0 if pos[j] else c)
+        grad += t * y * (k_i - k_mat[j])
 
-    def take_step(i1: int, i2: int) -> bool:
-        nonlocal b
-        if i1 == i2:
-            return False
-        a1, a2 = alpha[i1], alpha[i2]
-        y1, y2 = y[i1], y[i2]
-        e1, e2 = errors[i1], errors[i2]
-        s = y1 * y2
-        if s > 0:
-            lo, hi = max(0.0, a1 + a2 - c), min(c, a1 + a2)
-        else:
-            lo, hi = max(0.0, a2 - a1), min(c, c + a2 - a1)
-        if lo >= hi:
-            return False
-        k11, k12, k22 = k_mat[i1, i1], k_mat[i1, i2], k_mat[i2, i2]
-        eta = k11 + k22 - 2.0 * k12
-        if eta > 0:
-            a2_new = a2 + y2 * (e1 - e2) / eta
-            a2_new = min(hi, max(lo, a2_new))
-        else:
-            # flat/concave direction: evaluate the objective at both ends
-            f1 = y1 * (e1 + b) - a1 * k11 - s * a2 * k12
-            f2 = y2 * (e2 + b) - s * a1 * k12 - a2 * k22
-            l1 = a1 + s * (a2 - lo)
-            h1 = a1 + s * (a2 - hi)
-            obj_lo = l1 * f1 + lo * f2 + 0.5 * l1**2 * k11 + 0.5 * lo**2 * k22 + s * lo * l1 * k12
-            obj_hi = h1 * f1 + hi * f2 + 0.5 * h1**2 * k11 + 0.5 * hi**2 * k22 + s * hi * h1 * k12
-            if obj_lo < obj_hi - _CHANGE_EPS:
-                a2_new = lo
-            elif obj_lo > obj_hi + _CHANGE_EPS:
-                a2_new = hi
-            else:
-                a2_new = a2
-        if abs(a2_new - a2) < _CHANGE_EPS * (a2_new + a2 + _CHANGE_EPS):
-            return False
-        a1_new = a1 + s * (a2 - a2_new)
-
-        b1 = b - e1 - y1 * (a1_new - a1) * k11 - y2 * (a2_new - a2) * k12
-        b2 = b - e2 - y1 * (a1_new - a1) * k12 - y2 * (a2_new - a2) * k22
-        if 0 < a1_new < c:
-            b_new = b1
-        elif 0 < a2_new < c:
-            b_new = b2
-        else:
-            b_new = 0.5 * (b1 + b2)
-
-        errors[:] += (
-            y1 * (a1_new - a1) * k_mat[i1, :]
-            + y2 * (a2_new - a2) * k_mat[i2, :]
-            + (b_new - b)
-        )
-        alpha[i1], alpha[i2] = a1_new, a2_new
-        b = b_new
-        return True
-
-    def examine(i2: int) -> bool:
-        y2, a2, e2 = y[i2], alpha[i2], errors[i2]
-        r2 = e2 * y2
-        if not ((r2 < -tol and a2 < c) or (r2 > tol and a2 > 0)):
-            return False
-        non_bound = np.nonzero((alpha > 0) & (alpha < c))[0]
-        if len(non_bound) > 1:
-            i1 = int(non_bound[np.argmax(np.abs(errors[non_bound] - e2))])
-            if take_step(i1, i2):
-                return True
-        for i1 in non_bound:
-            if take_step(int(i1), i2):
-                return True
-        for i1 in range(n):
-            if take_step(i1, i2):
-                return True
-        return False
-
-    examine_all = True
-    sweeps = 0
-    while sweeps < max_passes:
-        sweeps += 1
-        if examine_all:
-            changed = sum(examine(i) for i in range(n))
-        else:
-            idx = np.nonzero((alpha > 0) & (alpha < c))[0]
-            changed = sum(examine(int(i)) for i in idx)
-        if examine_all:
-            if changed == 0:
-                break  # a full sweep moved nothing: KKT holds within tol
-            examine_all = False
-        elif changed == 0:
-            examine_all = True
-
-    # Recompute the bias from the final alphas. The incremental value is
-    # only pinned down when the last step involved a free vector; with every
-    # alpha at a bound the KKT conditions leave an interval of valid biases,
-    # so take its midpoint.
+    # The bias from the final alphas. With every alpha at a bound the KKT
+    # conditions leave an interval of valid biases, so take its midpoint.
     g = k_mat @ (alpha * y)
     free = (alpha > _CHANGE_EPS) & (alpha < c - _CHANGE_EPS)
     if free.any():

@@ -340,9 +340,12 @@ class TestPipelineCommand:
         "doc",
         ["[1]", '{"version": 1, "n_segments": "50"}', '{"version": 1, "c_exponents": [0, 1]}',
          '{"version": 1, "svm_tol": 0.001}', '{"version": 1, "folds": 1}',
-         '{"version": 1, "glcm_angles": [30]}', '{"version": 1, "c_exponents": [2, 0, 1]}'],
+         '{"version": 1, "glcm_angles": [30]}', '{"version": 1, "c_exponents": [2, 0, 1]}',
+         '{"version": 1, "unsharp_amount": -0.5}', '{"version": 1, "unsharp_radius": 0}',
+         '{"version": 1, "posterior_fraction": 0}'],
         ids=["not-an-object", "string-for-int", "two-exponents", "removed-field", "one-fold",
-             "unsupported-angle", "reversed-exponents"],
+             "unsupported-angle", "reversed-exponents", "negative-unsharp", "unsharp-radius-0",
+             "zero-posterior-fraction"],
     )
     def test_bad_config_exit_2_before_extraction(self, dataset_dir, tmp_path, monkeypatch, doc):
         def never(*args, **kwargs):
@@ -388,6 +391,11 @@ class TestConfig:
         ('{"version": 1, "glcm_levels": 1}', "levels"),
         ('{"version": 1, "glcm_angles": [30]}', "angles"),
         ('{"version": 1, "denoise_radius": -1}', "denoise_radius"),
+        ('{"version": 1, "unsharp_amount": -0.5}', "unsharp_amount"),
+        ('{"version": 1, "unsharp_radius": 0}', "unsharp_radius"),
+        ('{"version": 1, "unsharp_radius": -2}', "unsharp_radius"),
+        ('{"version": 1, "posterior_fraction": 0}', "posterior_fraction"),
+        ('{"version": 1, "posterior_fraction": -1}', "posterior_fraction"),
         ('{"version": 1, "folds": 1}', "folds"),
         ('{"version": 1, "c_exponents": [2, 0, 1]}', "exponents"),
         ('{"version": 1, "g_exponents": [0, 1, 0]}', "exponents"),

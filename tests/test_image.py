@@ -173,6 +173,16 @@ class TestUnsharp:
         # edge contrast does not decrease
         assert int(out[0, 2]) - int(out[0, 1]) >= 255
 
+    @pytest.mark.parametrize("amount, radius, match", [
+        (-0.5, 1, "amount"), (1.0, 0, "radius"), (1.0, -2, "radius"),
+    ])
+    def test_preprocess_rejects_what_would_not_sharpen(self, amount, radius, match):
+        # a negative amount once meant "off", and a radius below 1 blurs over
+        # one pixel, so both ran silently without sharpening
+        img = np.random.default_rng(5).integers(0, 256, (8, 8), dtype=np.uint8)
+        with pytest.raises(ValueError, match=match):
+            image.preprocess(img, 1, amount, radius)
+
 
 class TestLightness:
     def test_endpoints(self):

@@ -109,7 +109,8 @@ class TestDataset:
     def test_write_dataset(self, tmp_path):
         cases = phantom.generate_dataset(2, 3, seed=1)
         ann = phantom.write_dataset(cases, str(tmp_path))
-        rows = roi.read_annotations(open(ann).read())
+        with open(ann) as fh:
+            rows = roi.read_annotations(fh.read())
         assert len(rows) == 5
         assert sum(r["label"] == "malignant" for r in rows) == 3
         for r in rows:

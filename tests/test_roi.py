@@ -58,22 +58,19 @@ class TestGrow:
 
     def test_threshold_zero_keeps_seed_block_only(self):
         case, pre, labeling = self._setup()
-        seed = roi.SeedSpec(case.seed_x, case.seed_y)
-        out = roi.grow(pre, labeling, seed, roi.GrowParams(0.0))
+        out = roi.grow(pre, labeling, case.seed_x, case.seed_y, 0.0)
         seed_label = labeling.labels[case.seed_y, case.seed_x]
         assert out.mask.sum() <= (labeling.labels == seed_label).sum()
         assert out.mask[case.seed_y, case.seed_x]
 
     def test_threshold_256_covers_image(self):
         case, pre, labeling = self._setup()
-        seed = roi.SeedSpec(case.seed_x, case.seed_y)
-        out = roi.grow(pre, labeling, seed, roi.GrowParams(256.0))
+        out = roi.grow(pre, labeling, case.seed_x, case.seed_y, 256.0)
         assert out.mask.all()
 
     def test_phantom_lesion_recovered(self):
         case, pre, labeling = self._setup()
-        seed = roi.SeedSpec(case.seed_x, case.seed_y)
-        out = roi.grow(pre, labeling, seed, roi.GrowParams(roi.default_threshold(pre)))
+        out = roi.grow(pre, labeling, case.seed_x, case.seed_y, roi.default_threshold(pre))
         truth = case.truth_mask
         covered = (out.mask & truth).sum() / truth.sum()
         spilled = (out.mask & ~truth).sum() / (~truth).sum()
@@ -82,27 +79,26 @@ class TestGrow:
 
     def test_monotone_in_threshold(self):
         case, pre, labeling = self._setup()
-        seed = roi.SeedSpec(case.seed_x, case.seed_y)
-        small = roi.grow(pre, labeling, seed, roi.GrowParams(10.0))
-        big = roi.grow(pre, labeling, seed, roi.GrowParams(80.0))
+        small = roi.grow(pre, labeling, case.seed_x, case.seed_y, 10.0)
+        big = roi.grow(pre, labeling, case.seed_x, case.seed_y, 80.0)
         # containment holds for the seed component as well on this phantom
         assert not (small.mask & ~big.mask).any()
 
     def test_negative_threshold_rejected(self):
+        case, pre, labeling = self._setup()
         with pytest.raises(ValueError, match="threshold"):
-            roi.GrowParams(-1.0)
+            roi.grow(pre, labeling, case.seed_x, case.seed_y, -1.0)
 
     def test_seed_out_of_bounds(self):
         case, pre, labeling = self._setup()
         with pytest.raises(ValueError):
-            roi.grow(pre, labeling, roi.SeedSpec(-1, 5), roi.GrowParams(10))
+            roi.grow(pre, labeling, -1, 5, 10.0)
 
     def test_deterministic(self):
         case, pre, labeling = self._setup()
-        seed = roi.SeedSpec(case.seed_x, case.seed_y)
-        p = roi.GrowParams(roi.default_threshold(pre))
-        a = roi.grow(pre, labeling, seed, p)
-        b = roi.grow(pre, labeling, seed, p)
+        t = roi.default_threshold(pre)
+        a = roi.grow(pre, labeling, case.seed_x, case.seed_y, t)
+        b = roi.grow(pre, labeling, case.seed_x, case.seed_y, t)
         assert np.array_equal(a.mask, b.mask)
         assert a.boundary == b.boundary
 

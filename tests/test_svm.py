@@ -76,6 +76,16 @@ def brute_force_dual(k_mat, y, c, grid=21):
     return best, best_alpha
 
 
+def _overlapping_problem(seed):
+    """120 x 9 min-max normalized features of two overlapping Gaussian
+    classes (48:72), with the RBF Gram matrix and C of a ridge grid cell."""
+    rng = np.random.default_rng(seed)
+    y = np.array([-1.0] * 48 + [1.0] * 72)
+    x = rng.standard_normal((120, 9)) + 0.41 * y[:, None]
+    x = svm.MinMaxNormalizer().fit(x).transform(x)
+    return svm.kernel_matrix(svm.KernelSpec("rbf", gamma=2.0**-4.8), x, x), y, 2.0**5.6
+
+
 class TestSmo:
     def test_symmetric_pair_linear(self):
         x = np.array([[-1.0], [1.0]])
@@ -105,18 +115,50 @@ class TestSmo:
 
     def test_matches_exhaustive_dual_on_tiny_problems(self):
         rng = np.random.default_rng(3)
-        for _ in range(25):
+        rbf, linear = svm.KernelSpec("rbf", gamma=1.0), svm.KernelSpec("linear")
+        # a duplicated point gives the pair (0, 2) the curvature a = 0
+        for spec, duplicate in [(rbf, False)] * 25 + [(rbf, True), (linear, False),
+                                                      (linear, True)] * 10:
             x = rng.normal(size=(3, 2))
+            if duplicate:
+                x[2] = x[0]
             y = np.array([1, -1, rng.choice([-1, 1])])
             if len(set(y)) < 2:
                 y[2] = -y[0]
             c = 2.0
-            k_mat = svm.kernel_matrix(svm.KernelSpec("rbf", gamma=1.0), x, x)
+            k_mat = svm.kernel_matrix(spec, x, x)
             alpha, b = svm.smo_solve(k_mat, y.astype(float), c)
             got = svm.dual_objective(k_mat, y, alpha)
             best, _ = brute_force_dual(k_mat, y, c, grid=81)
             assert got >= best - 1e-3
             assert svm.kkt_violation(k_mat, y.astype(float), alpha, b, c) <= 1e-3
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_meets_tol_inside_exact_box(self, seed):
+        # near the best cells of the grid search; Platt's SMO stopped at a
+        # KKT residual of 2.4e-3 and 9.4e-3 on seeds 4 and 5
+        k_mat, y, c = _overlapping_problem(seed)
+        alpha, b = svm.smo_solve(k_mat, y, c, tol=1e-3)
+        assert svm.kkt_violation(k_mat, y, alpha, b, c) <= 1e-3
+        assert alpha.min() >= 0.0 and alpha.max() <= c
+        assert abs(alpha @ y) <= 1e-9
+
+    def test_alpha_that_reaches_a_bound_is_set_to_it(self):
+        # alpha + (C - alpha) can round past C; without the exact set, four of
+        # these 150 problems ended with an alpha of C + 8.9e-16 or more
+        for seed in range(150):
+            rng = np.random.default_rng(seed)
+            x = rng.normal(size=(40, 3))
+            y = np.where(x[:, 0] + rng.normal(size=40) > 0, 1.0, -1.0)
+            c, gamma = 2.0 ** rng.uniform(0, 4), 2.0 ** rng.uniform(-4, 1)
+            alpha, _ = svm.smo_solve(svm.kernel_matrix(svm.KernelSpec("rbf", gamma), x, x), y, c)
+            assert alpha.min() >= 0.0 and alpha.max() <= c
+
+    def test_step_cap_warns(self, monkeypatch):
+        monkeypatch.setattr(svm, "MAX_STEPS", 1)
+        k_mat, y, c = _overlapping_problem(0)
+        with pytest.warns(RuntimeWarning, match=r"gap .* > tol 0\.001 after 1 steps"):
+            svm.smo_solve(k_mat, y, c)
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
