@@ -67,7 +67,7 @@ def cmd_segment(args) -> int:
         return EXIT_USAGE
     cfg = _load_config(args)
     pre = pipeline.preprocess(_read_image(args.input), cfg)
-    _, mask = pipeline.segment(pre, sx, sy, cfg)
+    mask = pipeline.segment(pre, sx, sy, cfg)
     _write(args.out_mask, roi.mask_to_pgm(mask.mask))
     _write(args.out_contour, roi.boundary_to_text(mask.boundary))
     return EXIT_OK

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields, replace
 from typing import get_args, get_origin, get_type_hints
 
@@ -57,6 +58,7 @@ class PipelineConfig:
             ("denoise_radius", self.denoise_radius >= 0, ">= 0 (0 skips the filter)"),
             ("unsharp_amount", self.unsharp_amount >= 0, ">= 0 (0 skips sharpening)"),
             ("unsharp_radius", self.unsharp_radius >= 1, ">= 1"),
+            ("svm_c", self.svm_c > 0, "> 0"),
             ("grow_threshold", self.grow_threshold is None or self.grow_threshold >= 0, ">= 0"),
             ("posterior_fraction", self.posterior_fraction > 0, "> 0"),
             ("folds", self.folds >= 2, ">= 2"),
@@ -102,7 +104,7 @@ class PipelineConfig:
 
 def _conforms(value, hint) -> bool:
     """Whether ``value`` has the declared type; an int passes for a float, a
-    bool for neither."""
+    bool for neither, and NaN or an infinity for no number."""
     args = get_args(hint)
     if get_origin(hint) is tuple:
         if args[-1] is Ellipsis and isinstance(value, tuple):  # non-empty, any length
@@ -113,4 +115,6 @@ def _conforms(value, hint) -> bool:
         return any(_conforms(value, a) for a in args)
     if isinstance(value, bool) or hint is type(None):
         return value is None
-    return isinstance(value, (int, float) if hint is float else hint)
+    if hint is float:
+        return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+    return isinstance(value, hint)

@@ -21,8 +21,6 @@ from .config import PipelineConfig
 @dataclass
 class CaseResult:
     name: str
-    preprocessed: np.ndarray
-    labeling: slic.SuperpixelLabeling
     roi_mask: roi.RoiMask
     features: feat.FeatureVector
 
@@ -31,14 +29,12 @@ def preprocess(img: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
     return image.preprocess(img, cfg.denoise_radius, cfg.unsharp_amount, cfg.unsharp_radius)
 
 
-def segment(
-    pre: np.ndarray, seed_x: int, seed_y: int, cfg: PipelineConfig
-) -> tuple[slic.SuperpixelLabeling, roi.RoiMask]:
-    """Superpixels of the preprocessed image, and the ROI grown from the seed."""
+def segment(pre: np.ndarray, seed_x: int, seed_y: int, cfg: PipelineConfig) -> roi.RoiMask:
+    """The ROI grown from the seed over the superpixels of the preprocessed
+    image."""
     labeling = slic.slic(pre, cfg.slic_params())
     threshold = roi.default_threshold(pre) if cfg.grow_threshold is None else cfg.grow_threshold
-    mask = roi.grow(pre, labeling, seed_x, seed_y, threshold)
-    return labeling, mask
+    return roi.grow(pre, labeling, seed_x, seed_y, threshold)
 
 
 def features(pre: np.ndarray, roi_mask: roi.RoiMask, cfg: PipelineConfig) -> feat.FeatureVector:
@@ -50,9 +46,8 @@ def process_case(
 ) -> CaseResult:
     """Preprocess, segment from the seed, and extract the feature vector."""
     pre = preprocess(img, cfg)
-    labeling, mask = segment(pre, seed_x, seed_y, cfg)
-    fv = features(pre, mask, cfg)
-    return CaseResult(name=name, preprocessed=pre, labeling=labeling, roi_mask=mask, features=fv)
+    mask = segment(pre, seed_x, seed_y, cfg)
+    return CaseResult(name=name, roi_mask=mask, features=features(pre, mask, cfg))
 
 
 @dataclass

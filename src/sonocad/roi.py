@@ -1,6 +1,6 @@
-"""Tumor ROI extraction: region growing over the superpixel adjacency graph
-from a seed point, plus boundary tracing and the radial profile used by the
-shape features.
+"""Tumor ROI extraction: region growing at the superpixel level from a seed
+point, plus boundary tracing and the radial profile used by the shape
+features.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 from scipy import ndimage
 
 from .image import validate_image, write_pgm
-from .slic import _FOUR_CONNECTED, SuperpixelLabeling, adjacency
+from .slic import _FOUR_CONNECTED, SuperpixelLabeling
 
 # Moore neighborhood in clockwise order (y axis points down): W NW N NE E SE S SW
 _MOORE = [(-1, 0), (-1, -1), (0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1)]
@@ -58,12 +58,14 @@ def default_threshold(img: np.ndarray) -> float:
 def grow(
     img: np.ndarray, labeling: SuperpixelLabeling, seed_x: int, seed_y: int, threshold: float
 ) -> RoiMask:
-    """Grow the ROI over the superpixel graph from the block of the seed
-    pixel (seed_x, seed_y).
+    """Grow the ROI from the block of the seed pixel (seed_x, seed_y).
 
-    A neighboring block joins when |mean_i - mean_seed| < threshold (strict;
-    gray levels, >= 0). The union of accepted blocks is reduced to the seed's
-    4-connected component and its boundary is traced clockwise.
+    A block joins when it is 4-adjacent to the region and |mean_i - mean_seed|
+    < threshold (strict; gray levels, >= 0). Each block is compared with the
+    seed block, not with the grown region, so the visit order does not matter:
+    the ROI is the seed pixel's 4-connected component among the pixels of the
+    seed block and of every block within the threshold. Its boundary is traced
+    clockwise.
     """
     img = validate_image(img)
     h, w = img.shape
@@ -72,25 +74,10 @@ def grow(
     if not (0 <= seed_x < w and 0 <= seed_y < h):
         raise ValueError(f"seed ({seed_x},{seed_y}) outside {w}x{h} image")
     means = block_means(img, labeling)
-    seed_label = int(labeling.labels[seed_y, seed_x])
-    g_seed = means[seed_label]
-    neigh = adjacency(labeling)
-
-    accepted = {seed_label}
-    frontier = [seed_label]
-    while frontier:
-        nxt = []
-        for lab in frontier:
-            for other in sorted(neigh[lab]):
-                if other in accepted:
-                    continue
-                if abs(means[other] - g_seed) < threshold:
-                    accepted.add(other)
-                    nxt.append(other)
-        frontier = nxt
-
-    mask = np.isin(labeling.labels, sorted(accepted))
-    comp, _ = ndimage.label(mask, structure=_FOUR_CONNECTED)
+    seed_label = labeling.labels[seed_y, seed_x]
+    keep = np.abs(means - means[seed_label]) < threshold
+    keep[seed_label] = True
+    comp, _ = ndimage.label(keep[labeling.labels], structure=_FOUR_CONNECTED)
     return RoiMask.from_mask(comp == comp[seed_y, seed_x])
 
 
@@ -109,7 +96,7 @@ def trace_boundary(mask: np.ndarray) -> tuple[list[tuple[int, int]], float]:
     if len(xs) == 1:
         return [(int(xs[0]), int(ys[0]))], 4.0
 
-    start = (int(xs[np.lexsort((xs, ys))[0]]), int(ys[np.lexsort((xs, ys))[0]]))
+    start = (int(xs[0]), int(ys[0]))  # nonzero scans row-major: topmost, then leftmost
 
     def inside(p):
         return 0 <= p[0] < w and 0 <= p[1] < h and mask[p[1], p[0]]

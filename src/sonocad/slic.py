@@ -9,7 +9,7 @@ scan) so the labeling is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -26,7 +26,10 @@ class SlicParams:
     n_segments: int = 50
     compactness: float = 10.0  # color normalizer, on the l in [0,100] scale
     max_iters: int = 10
-    conv_eps: float = 0.25  # mean center displacement threshold, pixels
+    # Stop once the mean center displacement is at most this many pixels;
+    # otherwise max_iters bounds the loop. It ends most noiseless phantoms
+    # early, while speckled ones still move more and use the whole budget.
+    conv_eps: float = 0.25
 
     def __post_init__(self):
         if self.n_segments < 1:
@@ -41,14 +44,11 @@ class SlicParams:
 
 @dataclass
 class SuperpixelLabeling:
-    """Per-pixel cluster labels plus the converged cluster centers.
-
-    ``centers`` is a (K, 3) float array of (l, x, y); ``labels`` is an int
-    array of the image shape with values in [0, K).
+    """Per-pixel cluster labels: an int array of the image shape whose values
+    are dense in [0, n_labels), plus the grid step S they were clustered at.
     """
 
     labels: np.ndarray
-    centers: np.ndarray
     step: float
     # largest per-axis pixel-to-claiming-center offset seen during assignment;
     # bounded by the 2S search reach (plus window rounding)
@@ -56,7 +56,7 @@ class SuperpixelLabeling:
 
     @property
     def n_labels(self) -> int:
-        return len(self.centers)
+        return int(self.labels.max()) + 1
 
 
 def step_size(n_pixels: int, k: int) -> float:
@@ -212,10 +212,7 @@ def slic(
     labels = _drop_empty(labels)
     if enforce:
         labels = _enforce_connectivity(labels, min_size=round(s) ** 2 // 4)
-    centers = _recompute_centers(labels, l_plane, xs, ys)
-    return SuperpixelLabeling(
-        labels=labels, centers=centers, step=s, max_assign_offset=max_offset
-    )
+    return SuperpixelLabeling(labels=labels, step=s, max_assign_offset=max_offset)
 
 
 def _drop_empty(labels: np.ndarray) -> np.ndarray:
@@ -312,24 +309,3 @@ def _enforce_connectivity(labels: np.ndarray, min_size: int) -> np.ndarray:
             area[best] += size_of[cid]
         pending = deferred
     return _drop_empty(np.array(current, dtype=np.int32)[comp])
-
-
-def _recompute_centers(labels, l_plane, xs, ys) -> np.ndarray:
-    flat = labels.ravel()
-    k = int(labels.max()) + 1
-    counts = np.bincount(flat, minlength=k).astype(np.float64)
-    sum_l = np.bincount(flat, weights=l_plane.ravel(), minlength=k)
-    sum_x = np.bincount(flat, weights=xs.ravel(), minlength=k)
-    sum_y = np.bincount(flat, weights=ys.ravel(), minlength=k)
-    return np.stack([sum_l / counts, sum_x / counts, sum_y / counts], axis=1)
-
-
-def adjacency(labeling: SuperpixelLabeling | np.ndarray) -> dict[int, set[int]]:
-    """Symmetric, irreflexive 4-neighbor relation over superpixel labels."""
-    labels = labeling.labels if isinstance(labeling, SuperpixelLabeling) else labeling
-    k = int(labels.max()) + 1
-    neigh: dict[int, set[int]] = {i: set() for i in range(k)}
-    src, dst = _neighbour_pairs(labels, k)
-    for u, v in zip(src.tolist(), dst.tolist()):
-        neigh[u].add(v)
-    return neigh

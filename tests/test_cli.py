@@ -342,10 +342,15 @@ class TestPipelineCommand:
          '{"version": 1, "svm_tol": 0.001}', '{"version": 1, "folds": 1}',
          '{"version": 1, "glcm_angles": [30]}', '{"version": 1, "c_exponents": [2, 0, 1]}',
          '{"version": 1, "unsharp_amount": -0.5}', '{"version": 1, "unsharp_radius": 0}',
-         '{"version": 1, "posterior_fraction": 0}'],
+         '{"version": 1, "posterior_fraction": 0}',
+         '{"version": 1, "c_exponents": [0, Infinity, 1]}', '{"version": 1, "compactness": NaN}',
+         '{"version": 1, "svm_gamma": NaN}', '{"version": 1, "svm_c": NaN}',
+         '{"version": 1, "svm_c": -1}', '{"version": 1, "svm_c": 0}',
+         '{"version": 1, "grow_threshold": Infinity}'],
         ids=["not-an-object", "string-for-int", "two-exponents", "removed-field", "one-fold",
              "unsupported-angle", "reversed-exponents", "negative-unsharp", "unsharp-radius-0",
-             "zero-posterior-fraction"],
+             "zero-posterior-fraction", "infinite-exponent", "nan-compactness", "nan-gamma",
+             "nan-c", "negative-c", "zero-c", "infinite-threshold"],
     )
     def test_bad_config_exit_2_before_extraction(self, dataset_dir, tmp_path, monkeypatch, doc):
         def never(*args, **kwargs):
@@ -402,6 +407,15 @@ class TestConfig:
         ('{"version": 1, "grow_threshold": -1}', "threshold"),
         ('{"version": 1, "svm_coef0": 0.0}', "svm_coef0"),
         ('{"version": 1, "svm_max_passes": 200}', "svm_max_passes"),
+        ('{"version": 1, "c_exponents": [0, Infinity, 1]}', "c_exponents"),
+        ('{"version": 1, "g_exponents": [-Infinity, 0, 1]}', "g_exponents"),
+        ('{"version": 1, "compactness": NaN}', "compactness"),
+        ('{"version": 1, "svm_gamma": NaN}', "svm_gamma"),
+        ('{"version": 1, "svm_c": NaN}', "svm_c"),
+        ('{"version": 1, "svm_c": Infinity}', "svm_c"),
+        ('{"version": 1, "svm_c": -1}', "svm_c"),
+        ('{"version": 1, "svm_c": 0}', "svm_c"),
+        ('{"version": 1, "grow_threshold": NaN}', "grow_threshold"),
     ])
     def test_bad_document_names_field(self, doc, match):
         with pytest.raises(ValueError, match=match):

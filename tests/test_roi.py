@@ -4,9 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from sonocad import image, phantom, roi
-from sonocad.slic import SlicParams, slic
+from sonocad.config import PipelineConfig
+from sonocad.slic import (
+    _FOUR_CONNECTED,
+    SlicParams,
+    SuperpixelLabeling,
+    _drop_empty,
+    _neighbour_pairs,
+    slic,
+)
 
 # chain-code to true perimeter correction for smooth digital shapes (Kulpa)
 KULPA = 0.9481
@@ -101,6 +110,102 @@ class TestGrow:
         b = roi.grow(pre, labeling, case.seed_x, case.seed_y, t)
         assert np.array_equal(a.mask, b.mask)
         assert a.boundary == b.boundary
+
+
+# Reference implementation: the original breadth-first grow over a
+# dict-of-sets superpixel graph, kept here verbatim (with the adjacency it
+# was built on) as the oracle for the connected-component grow in sonocad.roi.
+def adjacency(labeling: SuperpixelLabeling | np.ndarray) -> dict[int, set[int]]:
+    """Symmetric, irreflexive 4-neighbor relation over superpixel labels."""
+    labels = labeling.labels if isinstance(labeling, SuperpixelLabeling) else labeling
+    k = int(labels.max()) + 1
+    neigh: dict[int, set[int]] = {i: set() for i in range(k)}
+    src, dst = _neighbour_pairs(labels, k)
+    for u, v in zip(src.tolist(), dst.tolist()):
+        neigh[u].add(v)
+    return neigh
+
+
+def _oracle_grow(
+    img: np.ndarray, labeling: SuperpixelLabeling, seed_x: int, seed_y: int, threshold: float
+) -> roi.RoiMask:
+    img = image.validate_image(img)
+    h, w = img.shape
+    if threshold < 0:
+        raise ValueError("threshold must be >= 0")
+    if not (0 <= seed_x < w and 0 <= seed_y < h):
+        raise ValueError(f"seed ({seed_x},{seed_y}) outside {w}x{h} image")
+    means = roi.block_means(img, labeling)
+    seed_label = int(labeling.labels[seed_y, seed_x])
+    g_seed = means[seed_label]
+    neigh = adjacency(labeling)
+
+    accepted = {seed_label}
+    frontier = [seed_label]
+    while frontier:
+        nxt = []
+        for lab in frontier:
+            for other in sorted(neigh[lab]):
+                if other in accepted:
+                    continue
+                if abs(means[other] - g_seed) < threshold:
+                    accepted.add(other)
+                    nxt.append(other)
+        frontier = nxt
+
+    mask = np.isin(labeling.labels, sorted(accepted))
+    comp, _ = ndimage.label(mask, structure=_FOUR_CONNECTED)
+    return roi.RoiMask.from_mask(comp == comp[seed_y, seed_x])
+
+
+def _assert_same_roi(got: roi.RoiMask, expected: roi.RoiMask):
+    assert np.array_equal(got.mask, expected.mask)
+    assert got.boundary == expected.boundary
+    assert got.perimeter == expected.perimeter
+    assert got.area_px == expected.area_px
+
+
+class TestGrowMatchesOracle:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_random_label_maps(self, data):
+        h = data.draw(st.integers(1, 12), label="h")
+        w = data.draw(st.integers(1, 12), label="w")
+        k = data.draw(st.integers(1, 8), label="k")
+        vals = data.draw(st.lists(st.integers(0, k - 1), min_size=h * w, max_size=h * w))
+        labels = np.array(vals, dtype=np.int32).reshape(h, w)
+        # block 1 leaves most labels fragmented, larger blocks give patches
+        block = data.draw(st.integers(1, 3), label="block")
+        labels = _drop_empty(np.repeat(np.repeat(labels, block, axis=0), block, axis=1))
+        levels = data.draw(st.sampled_from([2, 4, 256]), label="levels")  # few levels: ties
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="image seed"))
+        img = (rng.integers(0, levels, labels.shape) * 255 // (levels - 1)).astype(np.uint8)
+        labeling = SuperpixelLabeling(labels=labels, step=1.0)
+        seed_y = data.draw(st.integers(0, labels.shape[0] - 1), label="seed_y")
+        seed_x = data.draw(st.integers(0, labels.shape[1] - 1), label="seed_x")
+        # a threshold equal to some block's distance from the seed mean checks
+        # that the comparison is strict
+        means = roi.block_means(img, labeling)
+        gaps = np.abs(means - means[labels[seed_y, seed_x]]).tolist()
+        threshold = data.draw(
+            st.one_of(st.sampled_from([0.0, 256.0] + gaps), st.floats(0, 256)), label="threshold"
+        )
+        _assert_same_roi(
+            roi.grow(img, labeling, seed_x, seed_y, threshold),
+            _oracle_grow(img, labeling, seed_x, seed_y, threshold),
+        )
+
+    @pytest.mark.parametrize("enforce", [True, False])
+    def test_phantoms(self, enforce):
+        params = PipelineConfig().slic_params()
+        for _, case in phantom.generate_dataset(2, 2, seed=13, speckle_sigma=0.03):
+            pre = image.preprocess(case.image)
+            labeling = slic(pre, params, enforce=enforce)
+            for threshold in (0.0, roi.default_threshold(pre), 40.0, 256.0):
+                _assert_same_roi(
+                    roi.grow(pre, labeling, case.seed_x, case.seed_y, threshold),
+                    _oracle_grow(pre, labeling, case.seed_x, case.seed_y, threshold),
+                )
 
 
 class TestTraceBoundary:
