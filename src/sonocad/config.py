@@ -103,8 +103,8 @@ class PipelineConfig:
 
 
 def _conforms(value, hint) -> bool:
-    """Whether ``value`` has the declared type; an int passes for a float, a
-    bool for neither, and NaN or an infinity for no number."""
+    """Whether ``value`` has the declared type; an int a float holds passes for
+    a float, a bool for neither, and NaN or an infinity for no number."""
     args = get_args(hint)
     if get_origin(hint) is tuple:
         if args[-1] is Ellipsis and isinstance(value, tuple):  # non-empty, any length
@@ -116,5 +116,8 @@ def _conforms(value, hint) -> bool:
     if isinstance(value, bool) or hint is type(None):
         return value is None
     if hint is float:
-        return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+        try:
+            return isinstance(value, (int, float)) and math.isfinite(value)
+        except OverflowError:  # an int that no float holds
+            return False
     return isinstance(value, hint)

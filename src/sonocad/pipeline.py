@@ -109,14 +109,11 @@ def evaluate_cv(
     x: np.ndarray, y: np.ndarray, ids: list[str], cfg: PipelineConfig
 ) -> tuple[list[metrics.ConfusionCounts], metrics.RocCurve]:
     """Per-fold confusion counts plus a pooled ROC over held-out decisions."""
-    folds = svm.cross_validate(
-        x, y, ids, cfg.folds, cfg.seed, c=cfg.svm_c, kernel=cfg.kernel, gamma=cfg.svm_gamma
+    folds, dec = svm.cv_decisions(
+        x, y, ids, cfg.folds, cfg.seed, [cfg.svm_c], [cfg.svm_gamma], cfg.kernel
     )
-    per_fold = [metrics.accumulate(f.predictions, y[f.test_idx]) for f in folds]
-    decisions = np.empty(len(y))
-    for f in folds:
-        decisions[f.test_idx] = f.decisions
-    return per_fold, metrics.roc(decisions, y)
+    pred = np.where(dec[0, 0] > 0, 1, -1)
+    return [metrics.accumulate(pred[f], y[f]) for f in folds], metrics.roc(dec[0, 0], y)
 
 
 def run_pipeline(annotations_path: str, cfg: PipelineConfig, out_dir: str) -> dict:

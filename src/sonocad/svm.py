@@ -3,20 +3,24 @@
 Kernels: RBF, K(a, b) = exp(-gamma * ||a - b||^2), and linear. Includes
 min-max feature normalization, stratified k-fold splitting keyed on case ids,
 exponent-lattice grid search over (C, gamma) and JSON model persistence. The
-solver's tolerance is ``smo_solve``'s default everywhere, and a fit that does
-not meet it within ``MAX_STEPS`` steps raises a RuntimeWarning.
+grid search and the CV report run one loop, ``cv_decisions``: fold -> gamma ->
+C, with one split, one normalizer per fold and one Gram matrix per (fold,
+gamma). The solver's tolerance is ``smo_solve``'s default everywhere, and a fit
+that does not meet it within ``MAX_STEPS`` steps raises a RuntimeWarning.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 _CHANGE_EPS = 1e-5  # alphas this close to a bound do not set the bias
 _TAU = 1e-12  # stands in for a non-positive curvature a = K_ii + K_jj - 2 K_ij
+_SV_EPS = 1e-9  # alphas above this are support vectors
 MAX_STEPS = 100_000  # step cap: ~100x the most steps (1,046) of a 120x9 fit on a 21x21 lattice
 KERNELS = ("rbf", "linear")
 
@@ -155,6 +159,17 @@ class MinMaxNormalizer:
         return np.clip(out, 0.0, 1.0)
 
 
+def _check_xy(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) as floats; ValueError unless x is finite and y is +1 and -1."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    y = np.asarray(y, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise ValueError("non-finite features")
+    if set(np.unique(y)) != {-1.0, 1.0}:
+        raise ValueError("need both classes, labels in {+1, -1}")
+    return x, y
+
+
 class SmoSVC:
     """Binary SVM classifier (labels +1 / -1) in the fit/predict style.
 
@@ -177,23 +192,15 @@ class SmoSVC:
         self.normalizer_ = None
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "SmoSVC":
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        y = np.asarray(y, dtype=np.float64)
-        if not np.isfinite(x).all():
-            raise ValueError("non-finite features")
-        if set(np.unique(y)) != {-1.0, 1.0}:
-            raise ValueError("need both classes, labels in {+1, -1}")
+        x, y = _check_xy(x, y)
         if self.normalize:
             self.normalizer_ = MinMaxNormalizer().fit(x)
             x = self.normalizer_.transform(x)
         else:
             self.normalizer_ = None
-        k_mat = kernel_matrix(self.kernel_spec, x, x)
-        alpha, b = smo_solve(k_mat, y, self.c)
-        sv = alpha > 1e-9
-        self.support_vectors_ = x[sv]
-        self.dual_coef_ = (alpha * y)[sv]
-        self.intercept_ = b
+        alpha, b = smo_solve(kernel_matrix(self.kernel_spec, x, x), y, self.c)
+        sv = alpha > _SV_EPS
+        self.support_vectors_, self.dual_coef_, self.intercept_ = x[sv], (alpha * y)[sv], b
         return self
 
     def decision_function(self, x: np.ndarray) -> np.ndarray:
@@ -246,36 +253,47 @@ def kfold_split(ids: list[str], y: np.ndarray, k: int, seed: int) -> list[np.nda
     return [np.array(sorted(f), dtype=int) for f in folds]
 
 
-@dataclass
-class FoldResult:
-    test_idx: np.ndarray
-    predictions: np.ndarray
-    decisions: np.ndarray
-
-
-def cross_validate(
-    x: np.ndarray, y: np.ndarray, ids: list[str], k: int, seed: int, **svc_params
-) -> list[FoldResult]:
-    """Train on k-1 folds, score the held-out fold, for every fold."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.asarray(y)
-    results = []
-    for test_idx in kfold_split(ids, y, k, seed):
-        train_mask = np.ones(len(y), dtype=bool)
-        train_mask[test_idx] = False
-        clf = SmoSVC(**svc_params).fit(x[train_mask], y[train_mask])
-        dec = clf.decision_function(x[test_idx])
-        results.append(FoldResult(test_idx, np.where(dec > 0, 1, -1).astype(int), dec))
-    return results
+def cv_decisions(
+    x: np.ndarray, y: np.ndarray, ids: list[str], k: int, seed: int,
+    cs: list[float], gammas: list[float], kernel: str,
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """The folds of ``kfold_split`` and a ``(len(cs), len(gammas), n)`` array
+    whose entry [i, j, r] is row r's held-out decision under C = cs[i] and
+    gamma = gammas[j]. Each fold is normalized on its training rows alone."""
+    x, y = _check_xy(x, y)
+    folds = kfold_split(ids, y, k, seed)
+    out = np.empty((len(cs), len(gammas), len(y)))
+    for test in folds:
+        train = np.ones(len(y), dtype=bool)
+        train[test] = False
+        norm = MinMaxNormalizer().fit(x[train])
+        x_train, y_train, x_test = norm.transform(x[train]), y[train], norm.transform(x[test])
+        for j, gamma in enumerate(gammas):
+            spec = KernelSpec(kernel, gamma)
+            k_mat = kernel_matrix(spec, x_train, x_train)
+            for i, c in enumerate(cs):
+                alpha, b = smo_solve(k_mat, y_train, c)
+                sv = alpha > _SV_EPS
+                out[i, j, test] = (
+                    kernel_matrix(spec, x_test, x_train[sv]) @ (alpha * y_train)[sv] + b)
+    return folds, out
 
 
 DEFAULT_EXPONENTS = (-8.0, 8.0, 0.4)  # start, stop (inclusive), step
+MAX_LATTICE_POINTS = 1_000  # per axis; the default lattice has 41
 
 
 def exponent_lattice(start: float, stop: float, step: float) -> np.ndarray:
-    if step <= 0 or stop < start:
-        raise ValueError(f"exponents {(start, stop, step)}: need stop >= start and step > 0")
-    n = int(round((stop - start) / step))
+    """start, start + step, ... up to stop, checked before it is allocated."""
+    try:  # 2**e grows with e, so the two ends decide
+        n = round((stop - start) / step) if step > 0 and stop >= start else -1
+        ok = (0 <= n < MAX_LATTICE_POINTS and 0.0 < 2.0 ** float(start)
+              and 2.0 ** float(start + step * n) < math.inf)
+    except OverflowError:  # an int that no float holds, or a float past the range
+        ok = False
+    if not ok:
+        raise ValueError(f"exponents {(start, stop, step)}: need stop >= start, step > 0, "
+                         f"at most {MAX_LATTICE_POINTS} points and a finite positive 2**e")
     return start + step * np.arange(n + 1)
 
 
@@ -284,7 +302,7 @@ class GridSearchResult:
     best_c: float
     best_gamma: float
     best_accuracy: float
-    surface: list[tuple[float, float, float]] = field(default_factory=list)  # (log2c, log2g, acc)
+    surface: list[tuple[float, float, float]]  # (log2c, log2g, acc)
 
     def surface_csv(self) -> str:
         lines = ["log2c,log2g,cv_accuracy"]
@@ -308,21 +326,13 @@ def grid_search(
     """
     c_axis = exponent_lattice(*c_exponents)
     g_axis = exponent_lattice(*g_exponents)
-    best = None
-    surface = []
-    for a in c_axis:
-        for g in g_axis:
-            folds = cross_validate(
-                x, y, ids, k, seed, c=float(2.0**a), kernel=kernel, gamma=float(2.0**g)
-            )
-            correct = sum(int(np.sum(f.predictions == np.asarray(y)[f.test_idx])) for f in folds)
-            acc = correct / len(y)
-            surface.append((float(a), float(g), acc))
-            if best is None or acc > best[0]:
-                best = (acc, float(2.0**a), float(2.0**g))
-    return GridSearchResult(
-        best_c=best[1], best_gamma=best[2], best_accuracy=best[0], surface=surface
-    )
+    cs, gammas = [float(2.0**a) for a in c_axis], [float(2.0**g) for g in g_axis]
+    _, dec = cv_decisions(x, y, ids, k, seed, cs, gammas, kernel)
+    acc = np.sum(np.where(dec > 0, 1, -1) == np.asarray(y), axis=2) / len(y)
+    i, j = np.unravel_index(np.argmax(acc), acc.shape)  # the first maximum in C-major order
+    surface = [(float(a), float(g), float(acc[m, n]))
+               for m, a in enumerate(c_axis) for n, g in enumerate(g_axis)]
+    return GridSearchResult(cs[i], gammas[j], float(acc[i, j]), surface)
 
 
 def model_to_json(clf: SmoSVC) -> str:

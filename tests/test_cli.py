@@ -234,6 +234,16 @@ class TestStagesMatchPipeline:
         assert report.read_bytes() == (out / "report.csv").read_bytes()
         assert roc_out.read_bytes() == (out / "roc.csv").read_bytes()
 
+    def test_report_accuracy_is_surface_best(self, run):
+        # the paper's protocol: the same seeded folds pick (C, gamma) and then
+        # score it, so the reported accuracy is the search's best, an
+        # optimistic figure
+        _, _, out = run
+        surface = out.joinpath("surface.csv").read_text().strip().split("\n")[1:]
+        report = out.joinpath("report.csv").read_text().strip().split("\n")
+        accuracy = next(line.split(",")[1] for line in report if line.startswith("accuracy,"))
+        assert accuracy == max((line.split(",")[2] for line in surface), key=float)
+
     @pytest.mark.parametrize("model", ["[1, 2]", '{"version": 1}'], ids=["array", "no-fields"])
     def test_bad_model_is_parse_error(self, run, model):
         tmp, _, out = run
@@ -346,13 +356,20 @@ class TestPipelineCommand:
          '{"version": 1, "c_exponents": [0, Infinity, 1]}', '{"version": 1, "compactness": NaN}',
          '{"version": 1, "svm_gamma": NaN}', '{"version": 1, "svm_c": NaN}',
          '{"version": 1, "svm_c": -1}', '{"version": 1, "svm_c": 0}',
-         '{"version": 1, "grow_threshold": Infinity}'],
+         '{"version": 1, "grow_threshold": Infinity}',
+         '{"version": 1, "c_exponents": [0, 2000, 1000]}',
+         '{"version": 1, "c_exponents": [0, 1' + "0" * 400 + ', 1]}',
+         '{"version": 1, "c_exponents": [-1100, 0, 1100]}',
+         '{"version": 1, "g_exponents": [0, 1, 1e-12]}'],
         ids=["not-an-object", "string-for-int", "two-exponents", "removed-field", "one-fold",
              "unsupported-angle", "reversed-exponents", "negative-unsharp", "unsharp-radius-0",
              "zero-posterior-fraction", "infinite-exponent", "nan-compactness", "nan-gamma",
-             "nan-c", "negative-c", "zero-c", "infinite-threshold"],
+             "nan-c", "negative-c", "zero-c", "infinite-threshold", "overflowing-c",
+             "int-no-float-holds", "underflowing-c", "10^12-points"],
     )
-    def test_bad_config_exit_2_before_extraction(self, dataset_dir, tmp_path, monkeypatch, doc):
+    def test_bad_config_exit_2_before_extraction(
+        self, dataset_dir, tmp_path, monkeypatch, capsys, doc
+    ):
         def never(*args, **kwargs):
             raise AssertionError("process_case called")
 
@@ -362,6 +379,8 @@ class TestPipelineCommand:
         out = tmp_path / "run"
         assert self._run(dataset_dir, out, cfg_path) == 2
         assert not out.exists()
+        # the config is at fault, not the 4 + 4 cases, too few for the 5 default folds
+        assert "annotations need" not in capsys.readouterr().err
 
 
 class TestConfig:
@@ -416,6 +435,10 @@ class TestConfig:
         ('{"version": 1, "svm_c": -1}', "svm_c"),
         ('{"version": 1, "svm_c": 0}', "svm_c"),
         ('{"version": 1, "grow_threshold": NaN}', "grow_threshold"),
+        ('{"version": 1, "c_exponents": [0, 2000, 1000]}', "exponents .* finite positive 2"),
+        ('{"version": 1, "c_exponents": [0, 1' + "0" * 400 + ', 1]}', "c_exponents"),
+        ('{"version": 1, "c_exponents": [-1100, 0, 1100]}', "exponents .* finite positive 2"),
+        ('{"version": 1, "g_exponents": [0, 1, 1e-12]}', "exponents .* 1000 points"),
     ])
     def test_bad_document_names_field(self, doc, match):
         with pytest.raises(ValueError, match=match):

@@ -1,11 +1,15 @@
 import itertools
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sonocad import svm
+from sonocad import metrics, pipeline, svm
+from sonocad.config import PipelineConfig
 
 
 class TestNormalizer:
@@ -265,13 +269,22 @@ class TestGridSearch:
         assert len(res.surface) == 1
         assert res.surface[0][2] == res.best_accuracy
 
-    @pytest.mark.parametrize("exponents", [(2.0, 0.0, 1.0), (0.0, 1.0, 0.0), (0.0, 1.0, -1.0)])
+    @pytest.mark.parametrize("exponents", [
+        (2.0, 0.0, 1.0), (0.0, 1.0, 0.0), (0.0, 1.0, -1.0),
+        # 10^12 points, a stop no float holds, C = 2^2000 = inf and C = 2^-1100 = 0
+        (0.0, 1.0, 1e-12), (0, 10**400, 1), (0, 2000, 1000), (-1100, 0, 1100),
+    ])
     def test_empty_or_endless_lattice_rejected(self, exponents):
         # a stop below the start once left the lattice empty and grid_search
         # failed with a TypeError on its missing best cell
         x, y, ids = _toy_problem()
         with pytest.raises(ValueError, match="exponents"):
             svm.grid_search(x, y, ids, k=3, c_exponents=exponents, g_exponents=(0.0, 0.0, 1.0))
+
+    def test_points_per_axis_capped(self):
+        assert len(svm.exponent_lattice(0, svm.MAX_LATTICE_POINTS - 1, 1)) == svm.MAX_LATTICE_POINTS
+        with pytest.raises(ValueError, match="points"):
+            svm.exponent_lattice(0, svm.MAX_LATTICE_POINTS, 1)
 
     def test_best_is_argmax(self):
         x, y, ids = _toy_problem()
@@ -349,3 +362,126 @@ class TestPersistence:
         x, y, ids = _toy_problem()
         clf = svm.SmoSVC(c=4.0, gamma=0.8).fit(x, y)
         assert svm.model_to_json(clf) == svm.model_to_json(clf)
+
+
+# The cross-validation that ``cv_decisions`` replaced, kept verbatim as the
+# oracle: one normalizer, Gram matrix and SmoSVC per (C, gamma, fold).
+@dataclass
+class FoldResult:
+    test_idx: np.ndarray
+    predictions: np.ndarray
+    decisions: np.ndarray
+
+
+def _oracle_cross_validate(
+    x: np.ndarray, y: np.ndarray, ids: list[str], k: int, seed: int, **svc_params
+) -> list[FoldResult]:
+    """Train on k-1 folds, score the held-out fold, for every fold."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    y = np.asarray(y)
+    results = []
+    for test_idx in svm.kfold_split(ids, y, k, seed):
+        train_mask = np.ones(len(y), dtype=bool)
+        train_mask[test_idx] = False
+        clf = svm.SmoSVC(**svc_params).fit(x[train_mask], y[train_mask])
+        dec = clf.decision_function(x[test_idx])
+        results.append(FoldResult(test_idx, np.where(dec > 0, 1, -1).astype(int), dec))
+    return results
+
+
+def _oracle_grid_search(x, y, ids, k, seed, c_exponents, g_exponents, kernel):
+    c_axis = svm.exponent_lattice(*c_exponents)
+    g_axis = svm.exponent_lattice(*g_exponents)
+    best = None
+    surface = []
+    for a in c_axis:
+        for g in g_axis:
+            folds = _oracle_cross_validate(
+                x, y, ids, k, seed, c=float(2.0**a), kernel=kernel, gamma=float(2.0**g)
+            )
+            correct = sum(int(np.sum(f.predictions == np.asarray(y)[f.test_idx])) for f in folds)
+            acc = correct / len(y)
+            surface.append((float(a), float(g), acc))
+            if best is None or acc > best[0]:
+                best = (acc, float(2.0**a), float(2.0**g))
+    return svm.GridSearchResult(
+        best_c=best[1], best_gamma=best[2], best_accuracy=best[0], surface=surface
+    )
+
+
+def _oracle_evaluate_cv(x, y, ids, cfg):
+    folds = _oracle_cross_validate(
+        x, y, ids, cfg.folds, cfg.seed, c=cfg.svm_c, kernel=cfg.kernel, gamma=cfg.svm_gamma
+    )
+    per_fold = [metrics.accumulate(f.predictions, y[f.test_idx]) for f in folds]
+    decisions = np.empty(len(y))
+    for f in folds:
+        decisions[f.test_idx] = f.decisions
+    return per_fold, metrics.roc(decisions, y)
+
+
+class TestFoldLoopMatchesOracle:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_problems(self, data):
+        k = data.draw(st.integers(2, 5), label="k")
+        n_pos = data.draw(st.integers(k, 20), label="n_pos")  # unbalanced classes
+        n_neg = data.draw(st.integers(k, 20), label="n_neg")
+        dim = data.draw(st.integers(1, 4), label="dim")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rng seed"))
+        y = rng.permutation([1] * n_pos + [-1] * n_neg)
+        x = rng.normal(size=(len(y), dim)) + data.draw(st.floats(0, 2), label="shift") * y[:, None]
+        # repeated rows, some under both labels; coarse values tie more cells
+        repeats = data.draw(st.integers(0, len(y) // 2), label="repeats")
+        x[rng.integers(0, len(y), repeats)] = x[rng.integers(0, len(y), repeats)]
+        x = np.round(x, data.draw(st.sampled_from([0, 1, 6]), label="decimals"))
+        ids = [f"r{i:03d}" for i in rng.permutation(len(y))]
+        kernel = data.draw(st.sampled_from(svm.KERNELS), label="kernel")
+
+        def axis(label):
+            start = data.draw(st.integers(-4, 3), label=f"{label} start")
+            step = data.draw(st.sampled_from([0.5, 1.0, 2.0]), label=f"{label} step")
+            return (float(start), start + step * data.draw(st.integers(0, 3)), step)
+
+        c_exp, g_exp = axis("c"), axis("g")
+        seed = data.draw(st.integers(0, 3), label="fold seed")
+        got = svm.grid_search(x, y, ids, k, seed, c_exp, g_exp, kernel)
+        want = _oracle_grid_search(x, y, ids, k, seed, c_exp, g_exp, kernel)
+        assert got.surface == want.surface
+        assert (got.best_c, got.best_gamma, got.best_accuracy) == (
+            want.best_c, want.best_gamma, want.best_accuracy)
+
+        # the held-out decisions themselves are bit-identical
+        c, gamma = got.best_c, got.best_gamma
+        _, dec = svm.cv_decisions(x, y, ids, k, seed, [c], [gamma], kernel)
+        for f in _oracle_cross_validate(x, y, ids, k, seed, c=c, kernel=kernel, gamma=gamma):
+            assert np.array_equal(dec[0, 0, f.test_idx], f.decisions)
+
+        cfg = PipelineConfig(kernel=kernel, svm_c=c, svm_gamma=gamma, folds=k, seed=seed)
+        per_fold, curve = pipeline.evaluate_cv(x, y, ids, cfg)
+        want_fold, want_curve = _oracle_evaluate_cv(x, y, ids, cfg)
+        assert per_fold == want_fold
+        assert curve == want_curve
+
+    def test_one_gram_per_fold_and_gamma(self, monkeypatch):
+        # the cell-by-cell search split once per cell, 6 times, and fitted a
+        # normalizer and built a training Gram per (cell, fold), 18 of each
+        calls = {"split": 0, "normalize": 0, "gram": 0}
+
+        def counted(key, fn, test=lambda *a: True):
+            def wrapper(*args, **kwargs):
+                calls[key] += test(*args)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(svm, "kfold_split", counted("split", svm.kfold_split))
+        monkeypatch.setattr(svm.MinMaxNormalizer, "fit",
+                            counted("normalize", svm.MinMaxNormalizer.fit))
+        monkeypatch.setattr(svm, "kernel_matrix",
+                            counted("gram", svm.kernel_matrix, lambda spec, a, b: a is b))
+        x, y, ids = _toy_problem()
+        res = svm.grid_search(x, y, ids, k=3, c_exponents=(-1.0, 0.0, 1.0),
+                              g_exponents=(-1.0, 1.0, 1.0))
+        assert len(res.surface) == 6
+        assert calls == {"split": 1, "normalize": 3, "gram": 3 * 3}
+
