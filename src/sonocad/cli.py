@@ -11,6 +11,7 @@ import json
 import sys
 
 import numpy as np
+from scipy import ndimage
 
 from . import features as feat
 from . import image, metrics, phantom, pipeline, roi, svm
@@ -76,7 +77,11 @@ def cmd_segment(args) -> int:
 def cmd_features(args) -> int:
     cfg = _load_config(args)
     pre = pipeline.preprocess(_read_image(args.input), cfg)
-    roi_mask = roi.RoiMask.from_mask(roi.pgm_to_mask(_read_image(args.mask)))
+    mask = roi.pgm_to_mask(_read_image(args.mask))
+    _, n_regions = ndimage.label(mask, structure=np.ones((3, 3)))
+    if n_regions != 1:  # the boundary trace follows one region only
+        raise ValueError(f"mask has {n_regions} 8-connected regions, expected 1")
+    roi_mask = roi.RoiMask.from_mask(mask)
     fv = pipeline.features(pre, roi_mask, cfg)
     _write(args.out, feat.write_feature_csv([(args.input, fv, args.label)]))
     return EXIT_OK

@@ -252,7 +252,10 @@ def read_feature_csv(text: str) -> list[tuple[str, FeatureVector, str]]:
                 raise ValueError(f"expected {len(FEATURE_CSV_FIELDS)} fields, got {len(rec)}")
             if rec[10] not in _LABELS:
                 raise ValueError(f"bad label {rec[10]!r}")
-            rows.append((rec[0], FeatureVector(*(float(v) for v in rec[1:10])), rec[10]))
+            values = [float(v) for v in rec[1:10]]
+            if not all(map(math.isfinite, values)):
+                raise ValueError("non-finite feature value")
+            rows.append((rec[0], FeatureVector(*values), rec[10]))
     except (ValueError, csv.Error) as exc:
         raise ValueError(f"line {max(reader.line_num, 1)}: {exc}") from None
     return rows

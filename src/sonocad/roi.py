@@ -91,60 +91,40 @@ def trace_boundary(mask: np.ndarray) -> tuple[list[tuple[int, int]], float]:
     mask = np.asarray(mask, dtype=bool)
     if not mask.any():
         raise ValueError("empty mask")
-    h, w = mask.shape
     ys, xs = np.nonzero(mask)
     if len(xs) == 1:
         return [(int(xs[0]), int(ys[0]))], 4.0
 
+    inside = np.pad(mask, 1)  # a background frame: neighbours need no bounds test
     start = (int(xs[0]), int(ys[0]))  # nonzero scans row-major: topmost, then leftmost
-
-    def inside(p):
-        return 0 <= p[0] < w and 0 <= p[1] < h and mask[p[1], p[0]]
-
     contour = [start]
-    # entry direction: came from the west (start is leftmost in its topmost row)
-    cur = start
-    back_dir = 0  # index into _MOORE pointing at the backtrack neighbor
+    x, y = start
+    back = 0  # index into _MOORE of the backtrack: the start is entered from the west
     first_move = None
     while True:
-        found = False
         for step in range(1, 9):
-            d = (back_dir + step) % 8
-            nxt = (cur[0] + _MOORE[d][0], cur[1] + _MOORE[d][1])
-            if inside(nxt):
-                if cur == start:
-                    if first_move is None:
-                        first_move = d
-                    elif d == first_move and len(contour) > 1:
-                        # re-entered the start with the same exit: loop closed
-                        return _close(contour)
-                contour.append(nxt)
-                # backtrack is the neighbor scanned just before the hit
-                prev = (back_dir + step - 1) % 8
-                px = cur[0] + _MOORE[prev][0] - nxt[0]
-                py = cur[1] + _MOORE[prev][1] - nxt[1]
-                back_dir = _MOORE.index((px, py))
-                cur = nxt
-                found = True
+            d = (back + step) % 8
+            dx, dy = _MOORE[d]
+            if inside[y + dy + 1, x + dx + 1]:
                 break
-        if not found:
-            # isolated pixel reached through a one-pixel bridge
-            return _close(contour)
-        if cur == start and len(contour) > 8 * mask.sum():
-            return _close(contour)
+        else:
+            break  # the start pixel has no neighbour in the mask
+        if (x, y) == start:
+            if first_move is None:
+                first_move = d
+            elif d == first_move or len(contour) > 8 * len(xs):
+                # left the start the same way again (Jacob's criterion), or hit
+                # the safety bound: the loop is closed, drop the repeated start
+                contour.pop()
+                break
+        x, y = x + dx, y + dy
+        contour.append((x, y))
+        # the new backtrack is the neighbour scanned just before the hit
+        back = (d // 2 * 2 + 6) % 8
 
-
-def _close(contour: list[tuple[int, int]]) -> tuple[list[tuple[int, int]], float]:
-    # drop the duplicated start if the trace re-appended it
-    while len(contour) > 1 and contour[-1] == contour[0]:
-        contour.pop()
-    per = 0.0
-    n = len(contour)
-    for i in range(n):
-        x0, y0 = contour[i]
-        x1, y1 = contour[(i + 1) % n]
-        per += np.hypot(x1 - x0, y1 - y0)
-    return contour, float(per)
+    steps = np.diff(np.array(contour + contour[:1]), axis=0)
+    # cumsum adds the steps in contour order; sum() would add them pairwise
+    return contour, float(np.cumsum(np.hypot(steps[:, 0], steps[:, 1]))[-1])
 
 
 def centroid_radial_lengths(

@@ -69,12 +69,9 @@ def step_size(n_pixels: int, k: int) -> float:
 
 
 def _gradient_map(l_plane: np.ndarray) -> np.ndarray:
-    # (l(x+1,y)-l(x-1,y))^2 + (l(x,y+1)-l(x,y-1))^2 with clamped sampling
-    right = l_plane[:, np.minimum(np.arange(l_plane.shape[1]) + 1, l_plane.shape[1] - 1)]
-    left = l_plane[:, np.maximum(np.arange(l_plane.shape[1]) - 1, 0)]
-    down = l_plane[np.minimum(np.arange(l_plane.shape[0]) + 1, l_plane.shape[0] - 1), :]
-    up = l_plane[np.maximum(np.arange(l_plane.shape[0]) - 1, 0), :]
-    return (right - left) ** 2 + (down - up) ** 2
+    # (l(x+1,y)-l(x-1,y))^2 + (l(x,y+1)-l(x,y-1))^2, border pixels repeated
+    p = np.pad(l_plane, 1, mode="edge")
+    return (p[1:-1, 2:] - p[1:-1, :-2]) ** 2 + (p[2:, 1:-1] - p[:-2, 1:-1]) ** 2
 
 
 def seed_grid(l_plane: np.ndarray, step: float) -> np.ndarray:
@@ -145,24 +142,17 @@ def _assign(
         np.minimum(win, d2, out=win)
         np.copyto(labels[y0:y1, x0:x1], idx, where=better)
 
-    # |x - cx| over a label's pixels peaks at an edge of its bounding box
-    max_offset = 0.0
-    for idx, box in enumerate(ndimage.find_objects(labels + 1)):
-        if box is not None:
-            _, cx, cy = centers[idx]
-            rows, cols = box
-            max_offset = max(
-                max_offset,
-                abs(cols.start - cx), abs(cols.stop - 1 - cx),
-                abs(rows.start - cy), abs(rows.stop - 1 - cy),
-            )
+    claimed = labels >= 0  # an unclaimed pixel's -1 takes the last center: masked out
+    max_offset = max(
+        np.abs(ax - centers[:, 1].take(labels)).max(where=claimed, initial=0.0),
+        np.abs(ay[:, None] - centers[:, 2].take(labels)).max(where=claimed, initial=0.0),
+    )
 
     # Once centers drift a pixel can fall outside every 2S window; give it
     # to the spatially nearest center so the partition invariant holds.
-    oy, ox = np.nonzero(labels < 0)
-    if oy.size:
-        d = (ox[:, None] - centers[None, :, 1]) ** 2 + (oy[:, None] - centers[None, :, 2]) ** 2
-        labels[oy, ox] = np.argmin(d, axis=1)
+    oy, ox = np.nonzero(~claimed)
+    d = (ox[:, None] - centers[None, :, 1]) ** 2 + (oy[:, None] - centers[None, :, 2]) ** 2
+    labels[oy, ox] = np.argmin(d, axis=1)
     return labels, float(max_offset)
 
 
@@ -192,26 +182,19 @@ def slic(
         max_offset = max(max_offset, offset)
 
         flat = labels.ravel()
-        counts = np.bincount(flat, minlength=len(centers)).astype(np.float64)
-        sum_l = np.bincount(flat, weights=l_plane.ravel(), minlength=len(centers))
-        sum_x = np.bincount(flat, weights=xs.ravel(), minlength=len(centers))
-        sum_y = np.bincount(flat, weights=ys.ravel(), minlength=len(centers))
+        counts = np.bincount(flat, minlength=len(centers))
         nonempty = counts > 0
         new_centers = centers.copy()  # empty clusters keep their coordinates
-        new_centers[nonempty, 0] = sum_l[nonempty] / counts[nonempty]
-        new_centers[nonempty, 1] = sum_x[nonempty] / counts[nonempty]
-        new_centers[nonempty, 2] = sum_y[nonempty] / counts[nonempty]
-        disp = np.sqrt(
-            (new_centers[nonempty, 1] - centers[nonempty, 1]) ** 2
-            + (new_centers[nonempty, 2] - centers[nonempty, 2]) ** 2
-        )
+        for j, plane in enumerate((l_plane, xs, ys)):
+            sums = np.bincount(flat, weights=plane.ravel(), minlength=len(centers))
+            new_centers[nonempty, j] = sums[nonempty] / counts[nonempty]
+        disp = np.sqrt(((new_centers[nonempty, 1:] - centers[nonempty, 1:]) ** 2).sum(axis=1))
         centers = new_centers
         if disp.size == 0 or float(disp.mean()) <= params.conv_eps:
             break
 
-    labels = _drop_empty(labels)
-    if enforce:
-        labels = _enforce_connectivity(labels, min_size=round(s) ** 2 // 4)
+    # enforcement renumbers densely itself, keeping the order of labels
+    labels = _enforce_connectivity(labels, round(s) ** 2 // 4) if enforce else _drop_empty(labels)
     return SuperpixelLabeling(labels=labels, step=s, max_assign_offset=max_offset)
 
 
@@ -223,19 +206,18 @@ def _drop_empty(labels: np.ndarray) -> np.ndarray:
 
 
 def _components(labels: np.ndarray) -> tuple[np.ndarray, int]:
-    # Unique id per (label, 4-connected component) pair: grouped by label,
-    # in scan order within a label. Each label is searched only inside its
-    # bounding box.
-    comp = np.empty(labels.shape, dtype=np.int32)
-    next_id = 0
-    for lab, box in enumerate(ndimage.find_objects(labels + 1)):
-        if box is None:
-            continue
-        own = labels[box] == lab
-        cc, n = ndimage.label(own, structure=_FOUR_CONNECTED)
-        comp[box][own] = cc[own] + next_id - 1
-        next_id += n
-    return comp, next_id
+    # Unique id per (label, 4-connected component) pair, numbered in scan
+    # order of each component's first pixel. One labelling pass over a
+    # (2h-1) x (2w-1) grid: pixel (y, x) sits at (2y, 2x), and the cell
+    # between two 4-adjacent pixels is set when their labels agree.
+    # ndimage.label numbers components in raster order.
+    h, w = labels.shape
+    grid = np.zeros((2 * h - 1, 2 * w - 1), dtype=bool)
+    grid[::2, ::2] = True
+    grid[::2, 1::2] = labels[:, 1:] == labels[:, :-1]
+    grid[1::2, ::2] = labels[1:, :] == labels[:-1, :]
+    comp, n = ndimage.label(grid, structure=_FOUR_CONNECTED)
+    return comp[::2, ::2] - 1, n
 
 
 def _neighbour_pairs(ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -264,14 +246,15 @@ def _enforce_connectivity(labels: np.ndarray, min_size: int) -> np.ndarray:
     current area (ties: the lower label), and that label's area grows by the
     fragment's size at once, so later visits in the round see it. A fragment
     with no labelled neighbour yet waits for the next round. Labels are
-    renumbered densely at the end, keeping their order.
+    renumbered densely at the end, keeping their order. ``_components``
+    numbers components in first-pixel scan order, so these orders are id orders.
     """
     comp, n_comp = _components(labels)
     sizes = np.bincount(comp.ravel(), minlength=n_comp)
-    _, first = np.unique(comp, return_index=True)  # first pixel of each component
-    comp_label = labels.ravel()[first].astype(np.int64)
+    comp_label = np.empty(n_comp, dtype=np.int64)
+    comp_label[comp.ravel()] = labels.ravel()
 
-    ranked = np.lexsort((first, -sizes, comp_label))
+    ranked = np.lexsort((-sizes, comp_label))  # stable: ties stay in id order
     is_kept = np.ones(n_comp, dtype=bool)
     is_kept[1:] = comp_label[ranked[1:]] != comp_label[ranked[:-1]]
     kept, rest = ranked[is_kept], ranked[~is_kept]
@@ -291,8 +274,7 @@ def _enforce_connectivity(labels: np.ndarray, min_size: int) -> np.ndarray:
     ).astype(np.int64).tolist()
     current = final.tolist()
     size_of = sizes.tolist()
-    pending = np.nonzero(~labelled)[0]
-    pending = pending[np.argsort(first[pending])].tolist()
+    pending = np.nonzero(~labelled)[0].tolist()
     # The pixel grid is connected and every label keeps a component, so some
     # pending fragment touches a labelled one: each round merges at least one
     # fragment and the loop ends.

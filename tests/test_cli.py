@@ -65,7 +65,12 @@ class TestUsage:
         "image,ar,rd,cp,rg,cr,energy,homogeneity,correlation,ac,label\n"
         "a.pgm,1,0.9,0.006,0.02,3.5,0.4,0.8,0.1,1.2,benign\n"
         "b.pgm,1,0.9,0.006\n",
-    ], ids=["empty", "truncated_row"])
+        "image,ar,rd,cp,rg,cr,energy,homogeneity,correlation,ac,label\n"
+        "a.pgm,1,0.9,0.006,0.02,3.5,0.4,0.8,0.1,1.2,benign\n"
+        "b.pgm,1,0.9,0.006,0.02,nan,0.4,0.8,0.1,1.2,malignant\n",
+        "image,ar,rd,cp,rg,cr,energy,homogeneity,correlation,ac,label\n"
+        "a.pgm,1,0.9,0.006,0.02,3.5,0.4,0.8,0.1,1e999,benign\n",
+    ], ids=["empty", "truncated_row", "nan", "overflow"])
     def test_bad_feature_csv_is_parse_error(self, tmp_path, capsys, command, text):
         feats = tmp_path / "features.csv"
         feats.write_text(text)
@@ -152,6 +157,21 @@ class TestFeaturesTrainEvaluate:
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 2
         assert lines[0].startswith("image,ar,rd,cp,")
+
+    @pytest.mark.parametrize(
+        "extra", [(slice(2, 5), slice(2, 5)), (1, 150)], ids=["block", "isolated-pixel"]
+    )
+    def test_features_rejects_mask_of_two_regions(self, tmp_path, capsys, extra):
+        # area and texture would read both regions, the boundary trace only one
+        _, case = phantom.generate_dataset(1, 1, seed=3)[0]
+        src, mask_path = tmp_path / "img.pgm", tmp_path / "m.pgm"
+        src.write_bytes(image.write_pgm(case.image))
+        mask = case.truth_mask.copy()
+        mask[extra] = True
+        mask_path.write_bytes(roi.mask_to_pgm(mask))
+        rc = main(["features", str(src), str(mask_path), "--out", str(tmp_path / "fv.csv")])
+        assert rc == 2
+        assert "mask has 2 8-connected regions, expected 1" in capsys.readouterr().err
 
     def test_train_then_evaluate(self, dataset_dir, tmp_path):
         feats = self._features_csv(dataset_dir, tmp_path)

@@ -340,6 +340,14 @@ class TestFeatureCsv:
         with pytest.raises(ValueError, match="line 3"):
             feat.read_feature_csv(text)
 
+    @pytest.mark.parametrize("value", ["nan", "1e999", "-inf"])
+    def test_non_finite_value_names_its_line(self, value):
+        fv = feat.FeatureVector(1.0, 0.9, 0.006, 0.02, 3.5, 0.4, 0.8, 0.1, 1.2)
+        text = feat.write_feature_csv([("a.pgm", fv, "benign")])
+        text += f"b.pgm,1,0.9,0.006,0.02,{value},0.4,0.8,0.1,1.2,malignant\n"
+        with pytest.raises(ValueError, match="line 3: non-finite feature value"):
+            feat.read_feature_csv(text)
+
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_fuzz_only_value_error_escapes(self, data):

@@ -251,6 +251,131 @@ class TestTraceBoundary:
             assert touches_out
 
 
+# Reference implementation: the original Moore trace, with its bounds-tested
+# lookup, its _MOORE.index backtrack and its _close helper, kept here verbatim
+# as the oracle for the trace in sonocad.roi.
+_MOORE = [(-1, 0), (-1, -1), (0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1)]
+
+
+def _oracle_trace_boundary(mask: np.ndarray) -> tuple[list[tuple[int, int]], float]:
+    mask = np.asarray(mask, dtype=bool)
+    if not mask.any():
+        raise ValueError("empty mask")
+    h, w = mask.shape
+    ys, xs = np.nonzero(mask)
+    if len(xs) == 1:
+        return [(int(xs[0]), int(ys[0]))], 4.0
+
+    start = (int(xs[0]), int(ys[0]))  # nonzero scans row-major: topmost, then leftmost
+
+    def inside(p):
+        return 0 <= p[0] < w and 0 <= p[1] < h and mask[p[1], p[0]]
+
+    contour = [start]
+    # entry direction: came from the west (start is leftmost in its topmost row)
+    cur = start
+    back_dir = 0  # index into _MOORE pointing at the backtrack neighbor
+    first_move = None
+    while True:
+        found = False
+        for step in range(1, 9):
+            d = (back_dir + step) % 8
+            nxt = (cur[0] + _MOORE[d][0], cur[1] + _MOORE[d][1])
+            if inside(nxt):
+                if cur == start:
+                    if first_move is None:
+                        first_move = d
+                    elif d == first_move and len(contour) > 1:
+                        # re-entered the start with the same exit: loop closed
+                        return _oracle_close(contour)
+                contour.append(nxt)
+                # backtrack is the neighbor scanned just before the hit
+                prev = (back_dir + step - 1) % 8
+                px = cur[0] + _MOORE[prev][0] - nxt[0]
+                py = cur[1] + _MOORE[prev][1] - nxt[1]
+                back_dir = _MOORE.index((px, py))
+                cur = nxt
+                found = True
+                break
+        if not found:
+            # isolated pixel reached through a one-pixel bridge
+            return _oracle_close(contour)
+        if cur == start and len(contour) > 8 * mask.sum():
+            return _oracle_close(contour)
+
+
+def _oracle_close(contour: list[tuple[int, int]]) -> tuple[list[tuple[int, int]], float]:
+    # drop the duplicated start if the trace re-appended it
+    while len(contour) > 1 and contour[-1] == contour[0]:
+        contour.pop()
+    per = 0.0
+    n = len(contour)
+    for i in range(n):
+        x0, y0 = contour[i]
+        x1, y1 = contour[(i + 1) % n]
+        per += np.hypot(x1 - x0, y1 - y0)
+    return contour, float(per)
+
+
+EIGHT = np.ones((3, 3), dtype=bool)
+
+
+def _has_bridge(mask: np.ndarray) -> bool:
+    # some pixel whose removal splits its 8-connected region
+    _, n = ndimage.label(mask, structure=EIGHT)
+    for y, x in zip(*np.nonzero(mask)):
+        cut = mask.copy()
+        cut[y, x] = False
+        if ndimage.label(cut, structure=EIGHT)[1] > n:
+            return True
+    return False
+
+
+class TestTraceMatchesOracle:
+    def test_random_masks(self):
+        # Examples are drawn with hypothesis; the counters check that holes,
+        # one-pixel bridges, several regions and each image border were reached.
+        reached = dict.fromkeys(
+            ["hole", "bridge", "regions", "top", "bottom", "left", "right"], 0
+        )
+
+        @given(st.data())
+        @settings(max_examples=400, deadline=None)
+        def check(data):
+            h = data.draw(st.integers(1, 14), label="h")
+            w = data.draw(st.integers(1, 14), label="w")
+            cut = data.draw(st.integers(1, 9), label="density")
+            vals = data.draw(st.lists(st.integers(0, 9), min_size=h * w, max_size=h * w))
+            mask = np.array(vals).reshape(h, w) < cut
+            if not mask.any():
+                mask[data.draw(st.integers(0, h - 1)), data.draw(st.integers(0, w - 1))] = True
+            got = roi.trace_boundary(mask)
+            expected = _oracle_trace_boundary(mask)
+            assert got[0] == expected[0]
+            assert got[1] == expected[1]
+
+            reached["hole"] += int((ndimage.binary_fill_holes(mask) != mask).any())
+            reached["bridge"] += int(_has_bridge(mask))
+            reached["regions"] += int(ndimage.label(mask, structure=EIGHT)[1] > 1)
+            for side, edge in zip(
+                ["top", "bottom", "left", "right"], [mask[0], mask[-1], mask[:, 0], mask[:, -1]]
+            ):
+                reached[side] += int(edge.any())
+
+        check()
+        assert all(reached.values()), reached
+
+    def test_phantom_rois(self):
+        params = PipelineConfig().slic_params()
+        for _, case in phantom.generate_dataset(3, 3, seed=21, speckle_sigma=0.03):
+            pre = image.preprocess(case.image)
+            grown = roi.grow(
+                pre, slic(pre, params), case.seed_x, case.seed_y, roi.default_threshold(pre)
+            )
+            for mask in (case.truth_mask, grown.mask):
+                assert roi.trace_boundary(mask) == _oracle_trace_boundary(mask)
+
+
 class TestRadialProfile:
     def test_disk_profile_tight(self):
         m = disk_mask(20)

@@ -9,6 +9,7 @@ from scipy import ndimage
 from sonocad import image, phantom
 from sonocad.config import PipelineConfig
 from sonocad.image import to_lightness, validate_image
+from sonocad.slic import _components as scan_components
 from sonocad.slic import (
     SlicParams,
     _assign,
@@ -123,6 +124,31 @@ class TestSlic:
         default = slic(pre, params).labels
         full = slic(pre, replace(params, conv_eps=0.0)).labels
         assert np.array_equal(default, full) != stops_early
+
+
+class TestComponents:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_ids_are_components_in_scan_order(self, data):
+        h = data.draw(st.integers(1, 12), label="h")
+        w = data.draw(st.integers(1, 12), label="w")
+        k = data.draw(st.integers(1, 4), label="k")
+        vals = data.draw(st.lists(st.integers(0, k - 1), min_size=h * w, max_size=h * w))
+        labels = np.array(vals, dtype=np.int32).reshape(h, w)
+        comp, n = scan_components(labels)
+        assert comp.shape == labels.shape
+        # ids are 0..n-1 and each first appears after the previous one
+        ids, first = np.unique(comp, return_index=True)
+        assert np.array_equal(ids, np.arange(n))
+        assert np.all(np.diff(first) > 0)
+        # each id is one label's 4-connected component, and every component
+        # of every label is one id
+        for cid in range(n):
+            assert len(np.unique(labels[comp == cid])) == 1
+            assert ndimage.label(comp == cid, structure=FOUR)[1] == 1
+        for lab in np.unique(labels):
+            n_parts = ndimage.label(labels == lab, structure=FOUR)[1]
+            assert len(np.unique(comp[labels == lab])) == n_parts
 
 
 # Reference implementation: the original per-fragment dilate-and-rescan
@@ -245,18 +271,45 @@ class TestEnforceConnectivityMatchesOracle:
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
 
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_unused_label_values_do_not_matter(self, data):
+        # slic() hands the raw labels over with empty clusters' values unused,
+        # where the oracle renumbers them densely first
+        h = data.draw(st.integers(1, 12), label="h")
+        w = data.draw(st.integers(1, 12), label="w")
+        values = data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=6, unique=True))
+        cells = st.sampled_from(values)
+        labels = np.array(data.draw(st.lists(cells, min_size=h * w, max_size=h * w)), np.int32)
+        labels = labels.reshape(h, w)
+        min_size = data.draw(st.sampled_from([0, 1, 4, labels.size + 1]), label="min_size")
+        got = _enforce_connectivity(labels, min_size)
+        expected = _enforce_connectivity(_drop_empty(labels), min_size)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
 
-# Reference implementation: the original per-seed seed_grid and the original
-# slic() with its per-center window loop, kept here verbatim as the oracle for
-# the vectorized seed_grid and _assign in sonocad.slic. _oracle_assign is the
-# body of the original iteration up to the center update.
+
+# Reference implementation: the original per-seed seed_grid with its
+# clamped-index gradient, and the original slic() with its per-center window
+# loop, kept here verbatim as the oracle for the vectorized seed_grid,
+# _gradient_map and _assign in sonocad.slic. _oracle_assign is the body of
+# the original iteration up to the center update.
+def _oracle_gradient_map(l_plane: np.ndarray) -> np.ndarray:
+    # (l(x+1,y)-l(x-1,y))^2 + (l(x,y+1)-l(x,y-1))^2 with clamped sampling
+    right = l_plane[:, np.minimum(np.arange(l_plane.shape[1]) + 1, l_plane.shape[1] - 1)]
+    left = l_plane[:, np.maximum(np.arange(l_plane.shape[1]) - 1, 0)]
+    down = l_plane[np.minimum(np.arange(l_plane.shape[0]) + 1, l_plane.shape[0] - 1), :]
+    up = l_plane[np.maximum(np.arange(l_plane.shape[0]) - 1, 0), :]
+    return (right - left) ** 2 + (down - up) ** 2
+
+
 def _oracle_seed_grid(l_plane: np.ndarray, step: float) -> np.ndarray:
     if step < 1:
         raise ValueError("step must be >= 1")
     h, w = l_plane.shape
     spacing = max(1, round(step))
     offset = round(step / 2)
-    grad = _gradient_map(l_plane)
+    grad = _oracle_gradient_map(l_plane)
     centers = []
     for y in range(min(offset, h - 1), h, spacing):
         for x in range(min(offset, w - 1), w, spacing):
@@ -428,3 +481,14 @@ class TestAssignmentMatchesOracle:
         expected = _oracle_seed_grid(l_plane, step)
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_gradient_map_bit_identical(self, data):
+        h = data.draw(st.integers(1, 16), label="h")
+        w = data.draw(st.integers(1, 16), label="w")
+        vals = data.draw(st.lists(st.integers(0, 255), min_size=h * w, max_size=h * w))
+        l_plane = to_lightness(np.array(vals, dtype=np.uint8).reshape(h, w))
+        got = _gradient_map(l_plane)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, _oracle_gradient_map(l_plane))
