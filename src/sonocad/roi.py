@@ -86,7 +86,8 @@ def trace_boundary(mask: np.ndarray) -> tuple[list[tuple[int, int]], float]:
     pixel. Returns the closed contour as (x, y) pairs and the chain-code
     perimeter (axial step 1, diagonal step sqrt 2).
 
-    A single-pixel mask has perimeter 4 by the unit-square convention.
+    A single-pixel mask has perimeter 4 by the unit-square convention. A walk
+    that has not closed after 8 steps per mask pixel raises ``ValueError``.
     """
     mask = np.asarray(mask, dtype=bool)
     if not mask.any():
@@ -101,6 +102,7 @@ def trace_boundary(mask: np.ndarray) -> tuple[list[tuple[int, int]], float]:
     x, y = start
     back = 0  # index into _MOORE of the backtrack: the start is entered from the west
     first_move = None
+    limit = 8 * len(xs)
     while True:
         for step in range(1, 9):
             d = (back + step) % 8
@@ -112,13 +114,15 @@ def trace_boundary(mask: np.ndarray) -> tuple[list[tuple[int, int]], float]:
         if (x, y) == start:
             if first_move is None:
                 first_move = d
-            elif d == first_move or len(contour) > 8 * len(xs):
-                # left the start the same way again (Jacob's criterion), or hit
-                # the safety bound: the loop is closed, drop the repeated start
+            elif d == first_move:
+                # left the start the same way again (Jacob's criterion): the
+                # loop is closed, drop the repeated start
                 contour.pop()
                 break
         x, y = x + dx, y + dy
         contour.append((x, y))
+        if len(contour) > limit:
+            raise ValueError(f"boundary trace did not close within {limit} steps")
         # the new backtrack is the neighbour scanned just before the hit
         back = (d // 2 * 2 + 6) % 8
 

@@ -2,11 +2,15 @@
 
 Kernels: RBF, K(a, b) = exp(-gamma * ||a - b||^2), and linear. Includes
 min-max feature normalization, stratified k-fold splitting keyed on case ids,
-exponent-lattice grid search over (C, gamma) and JSON model persistence. The
-grid search and the CV report run one loop, ``cv_decisions``: fold -> gamma ->
-C, with one split, one normalizer per fold and one Gram matrix per (fold,
-gamma). The solver's tolerance is ``smo_solve``'s default everywhere, and a fit
-that does not meet it within ``MAX_STEPS`` steps raises a RuntimeWarning.
+exponent-lattice grid search over (C, gamma) and JSON model persistence.
+
+There is one SMO step loop, ``_smo_batch``, which runs the second-order
+working-set step on a stack of problems at once; ``smo_solve`` is its batch of
+one. The grid search and the CV report run one loop, ``cv_decisions``: one
+split, one normalizer per fold and one training Gram per (fold, gamma), then C
+as the outer loop with one batched solve of every (fold, gamma) problem per C.
+Every fit uses the same tolerance, and a fit that does not meet it within
+``MAX_STEPS`` steps raises a RuntimeWarning.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ import numpy as np
 _CHANGE_EPS = 1e-5  # alphas this close to a bound do not set the bias
 _TAU = 1e-12  # stands in for a non-positive curvature a = K_ii + K_jj - 2 K_ij
 _SV_EPS = 1e-9  # alphas above this are support vectors
+_TOL = 1e-3  # the KKT tolerance of every fit
+_STACK_BYTES = 64 << 20  # the most Gram bytes one batched solve holds
 MAX_STEPS = 100_000  # step cap: ~100x the most steps (1,046) of a 120x9 fit on a 21x21 lattice
 KERNELS = ("rbf", "linear")
 
@@ -50,66 +56,94 @@ def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def smo_solve(
-    k_mat: np.ndarray, y: np.ndarray, c: float, tol: float = 1e-3
+    k_mat: np.ndarray, y: np.ndarray, c: float, tol: float = _TOL
 ) -> tuple[np.ndarray, float]:
+    """One SMO problem on a precomputed Gram matrix: ``_smo_batch`` with a
+    batch of one. Warns (RuntimeWarning) if ``MAX_STEPS`` steps do not meet
+    ``tol``. Returns (alpha, bias) with 0 <= alpha_i <= C and
+    sum(alpha * y) = 0.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    alpha = _smo_batch(k_mat[None], y[None], c, tol)[0]
+    return alpha, _bias(k_mat, y, alpha, c)
+
+
+def _smo_batch(grams: np.ndarray, y: np.ndarray, c: float, tol: float) -> np.ndarray:
     """SMO with LIBSVM's second-order working-set selection (Fan, Chen & Lin,
-    JMLR 2005) on a precomputed Gram matrix.
+    JMLR 2005) on B problems at once, problem p on the ``(n, n)`` Gram matrix
+    ``grams[p]`` with labels ``y[p]``. A problem with fewer rows is padded
+    with label 0: a padded row is in neither I_up nor I_low, so it never
+    enters a working set. Returns the ``(B, n)`` alphas, 0 on padded rows.
 
     Keeps the gradient G = Q alpha - 1 with Q = (y y') * K. Each step pairs i,
     the maximal violator of -y G over I_up, with the j of I_low that promises
     the largest decrease, b^2 / a, and moves both to the optimum along their
-    direction, inside the box. It stops once the gap m - M between the largest
-    violations is at most ``tol`` (Keerthi et al., Neural Computation 2001),
-    which bounds every KKT residual by ``tol``, and warns (RuntimeWarning) if
-    ``MAX_STEPS`` steps do not get there. Returns (alpha, bias) with
-    0 <= alpha_i <= C and sum(alpha * y) = 0.
+    direction, inside the box. A problem leaves the batch once the gap m - M
+    between its largest violations is at most ``tol`` (Keerthi et al., Neural
+    Computation 2001), which bounds every KKT residual by ``tol``, and warns
+    (RuntimeWarning) if ``MAX_STEPS`` steps do not get there. Each problem
+    takes the same steps, with the same arithmetic, as it would alone.
     """
-    y = np.asarray(y, dtype=np.float64)
-    pos = y > 0
-    diag = np.diag(k_mat)
-    alpha = np.zeros(len(y))
-    grad = -np.ones(len(y))
+    out = np.zeros(y.shape)
+    rows = idx = np.arange(len(y))  # idx: the problem in each row of the state below
+    pos, neg = y > 0, y < 0
+    diag = np.diagonal(grams, axis1=1, axis2=2)
+    alpha = np.zeros(y.shape)
+    grad = -np.ones(y.shape)
     for steps in range(MAX_STEPS + 1):
         v = -y * grad
-        up = np.where(pos, alpha < c, alpha > 0)
-        low = np.where(pos, alpha > 0, alpha < c)
+        above, below = alpha > 0, alpha < c
+        # bitwise: np.where on booleans branches on every element
+        up = pos & below | neg & above
+        low = pos & above | neg & below
         v_up = np.where(up, v, -np.inf)
-        i = int(np.argmax(v_up))
-        m = v_up[i]
-        gap = m - np.where(low, v, np.inf).min()
-        if gap <= tol:
-            break
+        i = v_up.argmax(axis=1)
+        m = v_up[rows, i]
+        gap = m - np.where(low, v, np.inf).min(axis=1)
+        done = gap <= tol
         if steps == MAX_STEPS:
-            warnings.warn(f"SMO gap {gap:.3g} > tol {tol:g} after {steps} steps", RuntimeWarning)
-            break
-        k_i = k_mat[i]
-        b = m - v
-        a = diag[i] + diag - 2.0 * k_i
+            for g in gap[~done]:
+                warnings.warn(f"SMO gap {g:.3g} > tol {tol:g} after {steps} steps", RuntimeWarning)
+            done[:] = True
+        if done.any():
+            out[idx[done]] = alpha[done]
+            if done.all():
+                break
+            go = ~done
+            idx, pos, neg, diag, alpha, grad, y, v, low, i, m = (
+                s[go] for s in (idx, pos, neg, diag, alpha, grad, y, v, low, i, m))
+            rows = np.arange(len(idx))
+        k_i = grams[idx, i]  # row gathers: grams[idx] would copy every matrix
+        b = m[:, None] - v
+        a = diag[rows, i][:, None] + diag - 2.0 * k_i
         a[a <= 0] = _TAU
-        j = int(np.argmin(np.where(low & (b > 0), -b * b / a, np.inf)))
-        room_i = c - alpha[i] if pos[i] else alpha[i]
-        room_j = alpha[j] if pos[j] else c - alpha[j]
-        t = min(b[j] / a[j], room_i, room_j)
+        j = np.where(low & (b > 0), -b * b / a, np.inf).argmin(axis=1)
+        pos_i, pos_j = pos[rows, i], pos[rows, j]
+        alpha_i, alpha_j = alpha[rows, i], alpha[rows, j]
+        room_i = np.where(pos_i, c - alpha_i, alpha_i)
+        room_j = np.where(pos_j, alpha_j, c - alpha_j)
+        t = np.minimum(np.minimum(b[rows, j] / a[rows, j], room_i), room_j)
         # a variable that hits its limit is set to it: a + (c - a) can round past c
-        alpha[i] = alpha[i] + y[i] * t if t < room_i else (c if pos[i] else 0.0)
-        alpha[j] = alpha[j] - y[j] * t if t < room_j else (0.0 if pos[j] else c)
-        grad += t * y * (k_i - k_mat[j])
+        alpha[rows, i] = np.where(t < room_i, alpha_i + y[rows, i] * t, np.where(pos_i, c, 0.0))
+        alpha[rows, j] = np.where(t < room_j, alpha_j - y[rows, j] * t, np.where(pos_j, 0.0, c))
+        grad += t[:, None] * y * (k_i - grams[idx, j])
+    return out
 
-    # The bias from the final alphas. With every alpha at a bound the KKT
-    # conditions leave an interval of valid biases, so take its midpoint.
+
+def _bias(k_mat: np.ndarray, y: np.ndarray, alpha: np.ndarray, c: float) -> float:
+    """The bias of a solution: the mean over its free alphas. With every
+    alpha at a bound the KKT conditions leave an interval of valid biases, so
+    take its midpoint, or its one bounded end."""
     g = k_mat @ (alpha * y)
     free = (alpha > _CHANGE_EPS) & (alpha < c - _CHANGE_EPS)
     if free.any():
-        b = float(np.mean(y[free] - g[free]))
-    else:
-        v = y - g
-        at_zero = alpha <= _CHANGE_EPS
-        lower = v[(at_zero & (y > 0)) | (~at_zero & (y < 0))]
-        upper = v[(at_zero & (y < 0)) | (~at_zero & (y > 0))]
-        ends = ([lower.max()] if len(lower) else []) + ([upper.min()] if len(upper) else [])
-        if ends:  # the interval's midpoint, or its one bounded end
-            b = float(np.mean(ends))
-    return alpha, b
+        return float(np.mean(y[free] - g[free]))
+    v = y - g
+    at_zero = alpha <= _CHANGE_EPS
+    lower = v[(at_zero & (y > 0)) | (~at_zero & (y < 0))]
+    upper = v[(at_zero & (y < 0)) | (~at_zero & (y > 0))]
+    ends = ([lower.max()] if len(lower) else []) + ([upper.min()] if len(upper) else [])
+    return float(np.mean(ends))
 
 
 def dual_objective(k_mat: np.ndarray, y: np.ndarray, alpha: np.ndarray) -> float:
@@ -259,23 +293,45 @@ def cv_decisions(
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """The folds of ``kfold_split`` and a ``(len(cs), len(gammas), n)`` array
     whose entry [i, j, r] is row r's held-out decision under C = cs[i] and
-    gamma = gammas[j]. Each fold is normalized on its training rows alone."""
+    gamma = gammas[j]. Each fold is normalized on its training rows alone.
+
+    The training Gram of every (fold, gamma) is built once and padded to the
+    largest training fold; per C, one ``_smo_batch`` call solves them all.
+    Stacks are cut at ``_STACK_BYTES``, so memory does not grow with k or
+    the number of gammas."""
     x, y = _check_xy(x, y)
     folds = kfold_split(ids, y, k, seed)
-    out = np.empty((len(cs), len(gammas), len(y)))
+    sets = []  # per fold: normalized training rows, their labels, normalized test rows
     for test in folds:
         train = np.ones(len(y), dtype=bool)
         train[test] = False
         norm = MinMaxNormalizer().fit(x[train])
-        x_train, y_train, x_test = norm.transform(x[train]), y[train], norm.transform(x[test])
-        for j, gamma in enumerate(gammas):
-            spec = KernelSpec(kernel, gamma)
-            k_mat = kernel_matrix(spec, x_train, x_train)
-            for i, c in enumerate(cs):
-                alpha, b = smo_solve(k_mat, y_train, c)
+        sets.append((norm.transform(x[train]), y[train], norm.transform(x[test])))
+    specs = [KernelSpec(kernel, gamma) for gamma in gammas]
+    cells = [(f, j) for f in range(len(folds)) for j in range(len(gammas))]
+    size = max(len(y_train) for _, y_train, _ in sets)
+    per_stack = max(1, _STACK_BYTES // (8 * size * size))
+    out = np.empty((len(cs), len(gammas), len(y)))
+    for first in range(0, len(cells), per_stack):
+        stack = cells[first : first + per_stack]
+        grams = np.zeros((len(stack), size, size))
+        labels = np.zeros((len(stack), size))
+        for p, (f, j) in enumerate(stack):
+            x_train, y_train, _ = sets[f]
+            n = len(y_train)
+            grams[p, :n, :n] = kernel_matrix(specs[j], x_train, x_train)
+            labels[p, :n] = y_train
+        for i, c in enumerate(cs):
+            alphas = _smo_batch(grams, labels, c, _TOL)
+            for p, (f, j) in enumerate(stack):
+                x_train, y_train, x_test = sets[f]
+                n = len(y_train)
+                alpha = alphas[p, :n]
+                # a contiguous copy: its product sums as the unpadded Gram's does
+                b = _bias(np.ascontiguousarray(grams[p, :n, :n]), y_train, alpha, c)
                 sv = alpha > _SV_EPS
-                out[i, j, test] = (
-                    kernel_matrix(spec, x_test, x_train[sv]) @ (alpha * y_train)[sv] + b)
+                out[i, j, folds[f]] = (
+                    kernel_matrix(specs[j], x_test, x_train[sv]) @ (alpha * y_train)[sv] + b)
     return folds, out
 
 

@@ -232,6 +232,16 @@ class TestTraceBoundary:
         with pytest.raises(ValueError):
             roi.trace_boundary(np.zeros((4, 4), bool))
 
+    def test_trace_that_never_closes_is_rejected(self, monkeypatch):
+        # with this neighbour order the walk never returns to its start pixel,
+        # so only a bound checked on every step ends it
+        monkeypatch.setattr(roi, "_MOORE", [(-1, -1), (-1, 0), (1, 0), (1, 1),
+                                            (1, -1), (0, -1), (-1, 1), (0, 1)])
+        m = np.zeros((9, 9), bool)
+        m[2:7, 3:6] = True
+        with pytest.raises(ValueError, match="did not close"):
+            roi.trace_boundary(m)
+
     def test_closure_and_membrane(self):
         m = disk_mask(9)
         boundary, _ = roi.trace_boundary(m)

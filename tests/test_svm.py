@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,6 +200,115 @@ class TestSmo:
             clf2.decision_function(test * scale + shift),
             atol=1e-2,
         )
+
+
+# The one-problem SMO loop that ``_smo_batch`` replaced, kept verbatim (with
+# the module's constants qualified) as the oracle of the batched loop.
+def _oracle_smo_solve(
+    k_mat: np.ndarray, y: np.ndarray, c: float, tol: float = 1e-3
+) -> tuple[np.ndarray, float]:
+    y = np.asarray(y, dtype=np.float64)
+    pos = y > 0
+    diag = np.diag(k_mat)
+    alpha = np.zeros(len(y))
+    grad = -np.ones(len(y))
+    for steps in range(svm.MAX_STEPS + 1):
+        v = -y * grad
+        up = np.where(pos, alpha < c, alpha > 0)
+        low = np.where(pos, alpha > 0, alpha < c)
+        v_up = np.where(up, v, -np.inf)
+        i = int(np.argmax(v_up))
+        m = v_up[i]
+        gap = m - np.where(low, v, np.inf).min()
+        if gap <= tol:
+            break
+        if steps == svm.MAX_STEPS:
+            warnings.warn(f"SMO gap {gap:.3g} > tol {tol:g} after {steps} steps", RuntimeWarning)
+            break
+        k_i = k_mat[i]
+        b = m - v
+        a = diag[i] + diag - 2.0 * k_i
+        a[a <= 0] = svm._TAU
+        j = int(np.argmin(np.where(low & (b > 0), -b * b / a, np.inf)))
+        room_i = c - alpha[i] if pos[i] else alpha[i]
+        room_j = alpha[j] if pos[j] else c - alpha[j]
+        t = min(b[j] / a[j], room_i, room_j)
+        # a variable that hits its limit is set to it: a + (c - a) can round past c
+        alpha[i] = alpha[i] + y[i] * t if t < room_i else (c if pos[i] else 0.0)
+        alpha[j] = alpha[j] - y[j] * t if t < room_j else (0.0 if pos[j] else c)
+        grad += t * y * (k_i - k_mat[j])
+
+    # The bias from the final alphas. With every alpha at a bound the KKT
+    # conditions leave an interval of valid biases, so take its midpoint.
+    g = k_mat @ (alpha * y)
+    free = (alpha > svm._CHANGE_EPS) & (alpha < c - svm._CHANGE_EPS)
+    if free.any():
+        b = float(np.mean(y[free] - g[free]))
+    else:
+        v = y - g
+        at_zero = alpha <= svm._CHANGE_EPS
+        lower = v[(at_zero & (y > 0)) | (~at_zero & (y < 0))]
+        upper = v[(at_zero & (y < 0)) | (~at_zero & (y > 0))]
+        ends = ([lower.max()] if len(lower) else []) + ([upper.min()] if len(upper) else [])
+        if ends:  # the interval's midpoint, or its one bounded end
+            b = float(np.mean(ends))
+    return alpha, b
+
+
+def _padded_stack(seed, kernel, sizes):
+    """Overlapping two-class problems of the given sizes, each with a repeated
+    point, their Gram matrices zero-padded to the largest and their labels
+    padded with 0."""
+    rng = np.random.default_rng(seed)
+    size = max(sizes)
+    grams, labels = np.zeros((len(sizes), size, size)), np.zeros((len(sizes), size))
+    problems = []
+    for p, n in enumerate(sizes):
+        y = rng.permutation([1.0, -1.0] * (n // 2) + [1.0] * (n % 2))
+        x = rng.normal(size=(n, 3)) + 0.5 * y[:, None]
+        x[1] = x[0]  # a pair of curvature a = 0
+        x = svm.MinMaxNormalizer().fit(x).transform(x)
+        k_mat = svm.kernel_matrix(svm.KernelSpec(kernel, 2.0 ** rng.uniform(-2, 2)), x, x)
+        grams[p, :n, :n], labels[p, :n] = k_mat, y
+        problems.append((k_mat, y))
+    return grams, labels, problems
+
+
+class TestBatchMatchesOracle:
+    @pytest.mark.parametrize("kernel", svm.KERNELS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_alphas_bit_identical(self, seed, kernel):
+        sizes = np.random.default_rng(seed).integers(6, 40, size=9).tolist()
+        grams, labels, problems = _padded_stack(seed, kernel, sizes)
+        c = 2.0  # low enough that alphas reach the box
+        got = svm._smo_batch(grams, labels, c, 1e-3)
+        at_box = 0
+        for p, (k_mat, y) in enumerate(problems):
+            want_alpha, want_b = _oracle_smo_solve(k_mat, y, c)
+            n = len(y)
+            assert np.array_equal(got[p, :n], want_alpha)
+            assert not got[p, n:].any()
+            alpha, b = svm.smo_solve(k_mat, y, c)
+            assert np.array_equal(alpha, want_alpha) and b == want_b
+            at_box += int((want_alpha == c).any())
+        assert len(set(sizes)) > 1 and at_box > 0
+
+    def test_only_capped_problems_warn(self, monkeypatch):
+        monkeypatch.setattr(svm, "MAX_STEPS", 12)
+        sizes = [4, 30, 6, 25, 5, 35, 8]
+        grams, labels, problems = _padded_stack(7, "rbf", sizes)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            oracle = [_oracle_smo_solve(k_mat, y, 1.0)[0] for k_mat, y in problems]
+            want = [str(w.message) for w in caught]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = svm._smo_batch(grams, labels, 1.0, 1e-3)
+        assert [str(w.message) for w in caught] == want
+        assert all(w.category is RuntimeWarning for w in caught)
+        assert 0 < len(want) < len(sizes)  # some problems are capped, some are not
+        for p, alpha in enumerate(oracle):
+            assert np.array_equal(got[p, : len(alpha)], alpha)
 
 
 class TestKfold:
@@ -420,6 +530,15 @@ def _oracle_evaluate_cv(x, y, ids, cfg):
     return per_fold, metrics.roc(decisions, y)
 
 
+def _count_batches(monkeypatch) -> list[int]:
+    """The size of every ``_smo_batch`` call from here on, in call order."""
+    sizes = []
+    batch = svm._smo_batch
+    monkeypatch.setattr(svm, "_smo_batch",
+                        lambda grams, *args: sizes.append(len(grams)) or batch(grams, *args))
+    return sizes
+
+
 class TestFoldLoopMatchesOracle:
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -479,9 +598,22 @@ class TestFoldLoopMatchesOracle:
                             counted("normalize", svm.MinMaxNormalizer.fit))
         monkeypatch.setattr(svm, "kernel_matrix",
                             counted("gram", svm.kernel_matrix, lambda spec, a, b: a is b))
+        batches = _count_batches(monkeypatch)
         x, y, ids = _toy_problem()
         res = svm.grid_search(x, y, ids, k=3, c_exponents=(-1.0, 0.0, 1.0),
                               g_exponents=(-1.0, 1.0, 1.0))
         assert len(res.surface) == 6
         assert calls == {"split": 1, "normalize": 3, "gram": 3 * 3}
+        # one batched solve per C, each of every (fold, gamma) problem
+        assert batches == [3 * 3] * 2
+
+    def test_stack_cut_at_byte_cap(self, monkeypatch):
+        x, y, ids = _toy_problem()
+        cs, gammas = [0.5, 4.0], [0.5, 1.0, 2.0]
+        _, whole = svm.cv_decisions(x, y, ids, 3, 0, cs, gammas, "rbf")
+        batches = _count_batches(monkeypatch)
+        monkeypatch.setattr(svm, "_STACK_BYTES", 4 * 8 * 16 * 16)  # four 16-row training Grams
+        _, cut = svm.cv_decisions(x, y, ids, 3, 0, cs, gammas, "rbf")
+        assert np.array_equal(cut, whole)
+        assert batches == [4, 4, 4, 4, 1, 1]  # per stack of (fold, gamma) problems, per C
 
