@@ -30,16 +30,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _write(path: str, data: str | bytes):
-    with open(path, "wb" if isinstance(data, bytes) else "w") as fh:
-        fh.write(data)
-
-
-def _read_image(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        return image.read_pgm(fh.read())
-
-
 # config fields that a stage flag can set; each flag's dest is the field name
 _FLAG_FIELDS = ("denoise_radius", "unsharp_amount", "n_segments", "grow_threshold",
                 "svm_c", "svm_gamma", "kernel", "folds")
@@ -55,8 +45,8 @@ def _load_config(args) -> PipelineConfig:
 
 
 def cmd_preprocess(args) -> int:
-    out = pipeline.preprocess(_read_image(args.input), _load_config(args))
-    _write(args.output, image.write_pgm(out))
+    out = pipeline.preprocess(pipeline.read_image(args.input), _load_config(args))
+    pipeline.write_file(args.output, image.write_pgm(out))
     return EXIT_OK
 
 
@@ -67,23 +57,23 @@ def cmd_segment(args) -> int:
         print(f"error: bad --seed {args.seed!r}, expected X,Y", file=sys.stderr)
         return EXIT_USAGE
     cfg = _load_config(args)
-    pre = pipeline.preprocess(_read_image(args.input), cfg)
+    pre = pipeline.preprocess(pipeline.read_image(args.input), cfg)
     mask = pipeline.segment(pre, sx, sy, cfg)
-    _write(args.out_mask, roi.mask_to_pgm(mask.mask))
-    _write(args.out_contour, roi.boundary_to_text(mask.boundary))
+    pipeline.write_file(args.out_mask, roi.mask_to_pgm(mask.mask))
+    pipeline.write_file(args.out_contour, roi.boundary_to_text(mask.boundary))
     return EXIT_OK
 
 
 def cmd_features(args) -> int:
     cfg = _load_config(args)
-    pre = pipeline.preprocess(_read_image(args.input), cfg)
-    mask = roi.pgm_to_mask(_read_image(args.mask))
+    pre = pipeline.preprocess(pipeline.read_image(args.input), cfg)
+    mask = roi.pgm_to_mask(pipeline.read_image(args.mask))
     _, n_regions = ndimage.label(mask, structure=np.ones((3, 3)))
     if n_regions != 1:  # the boundary trace follows one region only
         raise ValueError(f"mask has {n_regions} 8-connected regions, expected 1")
     roi_mask = roi.RoiMask.from_mask(mask)
     fv = pipeline.features(pre, roi_mask, cfg)
-    _write(args.out, feat.write_feature_csv([(args.input, fv, args.label)]))
+    pipeline.write_file(args.out, feat.write_feature_csv([(args.input, fv, args.label)]))
     return EXIT_OK
 
 
@@ -95,7 +85,7 @@ def _load_features(path: str):
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     x, y, _ = _load_features(args.features)
-    _write(args.out, svm.model_to_json(pipeline.train(x, y, cfg)))
+    pipeline.write_file(args.out, svm.model_to_json(pipeline.train(x, y, cfg)))
     return EXIT_OK
 
 
@@ -103,7 +93,7 @@ def cmd_gridsearch(args) -> int:
     cfg = _load_config(args)
     x, y, ids = _load_features(args.features)
     result = pipeline.grid_search(x, y, ids, cfg)
-    _write(args.out, result.surface_csv())
+    pipeline.write_file(args.out, result.surface_csv())
     print(f"best c={result.best_c:.6g} gamma={result.best_gamma:.6g} "
           f"cv_accuracy={result.best_accuracy:.4f}")
     return EXIT_OK
@@ -116,9 +106,9 @@ def cmd_evaluate(args) -> int:
     x, y, ids = _load_features(args.features)
     cfg = cfg.override(svm_c=clf.c, kernel=clf.kernel_spec.kind, svm_gamma=clf.kernel_spec.gamma)
     per_fold, curve = pipeline.evaluate_cv(x, y, ids, cfg)
-    _write(args.out, metrics.report_csv(per_fold))
+    pipeline.write_file(args.out, metrics.report_csv(per_fold))
     if args.roc:
-        _write(args.roc, metrics.roc_csv(curve))
+        pipeline.write_file(args.roc, metrics.roc_csv(curve))
     print(f"auc={curve.auc:.4f}")
     return EXIT_OK
 
@@ -219,6 +209,9 @@ def main(argv: list[str] | None = None) -> int:
     except image.PgmParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except pipeline.CaseFailures as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CASE_FAILURES
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

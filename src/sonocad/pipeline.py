@@ -7,7 +7,6 @@ config fields become calls; ``run_pipeline`` and the CLI are built from them.
 from __future__ import annotations
 
 import csv
-import io
 import os
 from dataclasses import dataclass
 
@@ -16,6 +15,21 @@ import numpy as np
 from . import features as feat
 from . import image, metrics, roi, slic, svm
 from .config import PipelineConfig
+
+
+class CaseFailures(Exception):
+    """Per-case failures left a class with fewer cases than folds."""
+
+
+def read_image(path: str) -> np.ndarray:
+    """The PGM image at ``path``; raises OSError or PgmParseError."""
+    with open(path, "rb") as fh:
+        return image.read_pgm(fh.read())
+
+
+def write_file(path: str, data: str | bytes):
+    with open(path, "wb" if isinstance(data, bytes) else "w") as fh:
+        fh.write(data)
 
 
 @dataclass
@@ -65,8 +79,7 @@ def extract_batch(rows: list[dict], base_dir: str, cfg: PipelineConfig) -> Batch
     for rec in rows:
         name = rec["image"]
         try:
-            with open(os.path.join(base_dir, name), "rb") as fh:
-                img = image.read_pgm(fh.read())
+            img = read_image(os.path.join(base_dir, name))
         except (OSError, image.PgmParseError) as exc:
             errors.append((name, "read", str(exc)))
             continue
@@ -108,20 +121,29 @@ def train(x: np.ndarray, y: np.ndarray, cfg: PipelineConfig) -> svm.SmoSVC:
 def evaluate_cv(
     x: np.ndarray, y: np.ndarray, ids: list[str], cfg: PipelineConfig
 ) -> tuple[list[metrics.ConfusionCounts], metrics.RocCurve]:
-    """Per-fold confusion counts plus a pooled ROC over held-out decisions."""
+    """``score_folds`` of the config's (C, gamma) under k-fold CV."""
     folds, dec = svm.cv_decisions(
         x, y, ids, cfg.folds, cfg.seed, [cfg.svm_c], [cfg.svm_gamma], cfg.kernel
     )
-    pred = np.where(dec[0, 0] > 0, 1, -1)
-    return [metrics.accumulate(pred[f], y[f]) for f in folds], metrics.roc(dec[0, 0], y)
+    return score_folds(folds, dec[0, 0], y)
+
+
+def score_folds(
+    folds: list[np.ndarray], decisions: np.ndarray, y: np.ndarray
+) -> tuple[list[metrics.ConfusionCounts], metrics.RocCurve]:
+    """Per-fold confusion counts plus a pooled ROC over held-out decisions."""
+    pred = np.where(decisions > 0, 1, -1)
+    return [metrics.accumulate(pred[f], y[f]) for f in folds], metrics.roc(decisions, y)
 
 
 def run_pipeline(annotations_path: str, cfg: PipelineConfig, out_dir: str) -> dict:
-    """Full run: extraction, grid search, final CV evaluation and artifacts.
+    """Full run: extraction, grid search, final fit and artifacts.
 
     Writes features.csv, errors.csv (when any), surface.csv, model.json,
-    report.csv and roc.csv into ``out_dir``. Deterministic for a fixed
-    config and inputs.
+    report.csv and roc.csv into ``out_dir``. The report scores the searched
+    cell from the search's own held-out decisions: one cross-validation, and
+    the report's accuracy is the surface's best. Raises ``CaseFailures`` when
+    failed cases leave a class with fewer cases than folds. Deterministic.
     """
     with open(annotations_path) as fh:
         rows = roi.read_annotations(fh.read())
@@ -130,35 +152,32 @@ def run_pipeline(annotations_path: str, cfg: PipelineConfig, out_dir: str) -> di
         raise ValueError(f"annotations need {cfg.folds} benign and {cfg.folds} malignant cases")
     os.makedirs(out_dir, exist_ok=True)
     batch = extract_batch(rows, os.path.dirname(os.path.abspath(annotations_path)), cfg)
-    _write(out_dir, "features.csv", feat.write_feature_csv(batch.feature_rows))
+    write_file(os.path.join(out_dir, "features.csv"), feat.write_feature_csv(batch.feature_rows))
     if batch.errors:
-        out = io.StringIO()
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(["case", "stage", "message"])
-        w.writerows(batch.errors)
-        _write(out_dir, "errors.csv", out.getvalue())
+        with open(os.path.join(out_dir, "errors.csv"), "w") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerows([("case", "stage", "message"), *batch.errors])
+    kept = [lab for _, _, lab in batch.feature_rows]
+    for lab in ("benign", "malignant"):
+        if kept.count(lab) < cfg.folds:
+            raise CaseFailures(f"{labels.count(lab) - kept.count(lab)} of {labels.count(lab)} "
+                               f"{lab} cases failed (see errors.csv), too few left for "
+                               f"{cfg.folds} folds")
 
     x, y, ids = rows_to_matrix(batch.feature_rows)
     search = grid_search(x, y, ids, cfg)
-    _write(out_dir, "surface.csv", search.surface_csv())
+    write_file(os.path.join(out_dir, "surface.csv"), search.surface_csv())
     tuned = cfg.override(svm_c=search.best_c, svm_gamma=search.best_gamma)
-    _write(out_dir, "model.json", svm.model_to_json(train(x, y, tuned)))
+    write_file(os.path.join(out_dir, "model.json"), svm.model_to_json(train(x, y, tuned)))
 
-    per_fold, curve = evaluate_cv(x, y, ids, tuned)
-    _write(out_dir, "report.csv", metrics.report_csv(per_fold))
-    _write(out_dir, "roc.csv", metrics.roc_csv(curve))
-
-    total = sum(per_fold, metrics.ConfusionCounts())
+    per_fold, curve = score_folds(search.folds, search.decisions, y)
+    write_file(os.path.join(out_dir, "report.csv"), metrics.report_csv(per_fold))
+    write_file(os.path.join(out_dir, "roc.csv"), metrics.roc_csv(curve))
     return {
         "cases": len(batch.feature_rows),
         "errors": len(batch.errors),
         "best_c": search.best_c,
         "best_gamma": search.best_gamma,
-        "cv_accuracy": metrics.evaluate(total)["accuracy"],
+        "cv_accuracy": search.best_accuracy,
         "auc": curve.auc,
     }
-
-
-def _write(out_dir: str, name: str, text: str):
-    with open(os.path.join(out_dir, name), "w") as fh:
-        fh.write(text)

@@ -327,8 +327,7 @@ def cv_decisions(
                 x_train, y_train, x_test = sets[f]
                 n = len(y_train)
                 alpha = alphas[p, :n]
-                # a contiguous copy: its product sums as the unpadded Gram's does
-                b = _bias(np.ascontiguousarray(grams[p, :n, :n]), y_train, alpha, c)
+                b = _bias(grams[p, :n, :n], y_train, alpha, c)
                 sv = alpha > _SV_EPS
                 out[i, j, folds[f]] = (
                     kernel_matrix(specs[j], x_test, x_train[sv]) @ (alpha * y_train)[sv] + b)
@@ -342,7 +341,7 @@ MAX_LATTICE_POINTS = 1_000  # per axis; the default lattice has 41
 def exponent_lattice(start: float, stop: float, step: float) -> np.ndarray:
     """start, start + step, ... up to stop, checked before it is allocated."""
     try:  # 2**e grows with e, so the two ends decide
-        n = round((stop - start) / step) if step > 0 and stop >= start else -1
+        n = math.floor((stop - start) / step + 1e-9) if step > 0 and stop >= start else -1
         ok = (0 <= n < MAX_LATTICE_POINTS and 0.0 < 2.0 ** float(start)
               and 2.0 ** float(start + step * n) < math.inf)
     except OverflowError:  # an int that no float holds, or a float past the range
@@ -359,6 +358,8 @@ class GridSearchResult:
     best_gamma: float
     best_accuracy: float
     surface: list[tuple[float, float, float]]  # (log2c, log2g, acc)
+    folds: list[np.ndarray]  # the test rows of each CV fold
+    decisions: np.ndarray  # each row's held-out decision under the best cell
 
     def surface_csv(self) -> str:
         lines = ["log2c,log2g,cv_accuracy"]
@@ -376,19 +377,18 @@ def grid_search(
     g_exponents: tuple[float, float, float] = DEFAULT_EXPONENTS,
     kernel: str = "rbf",
 ) -> GridSearchResult:
-    """Exhaustive CV accuracy over the (2^a, 2^b) lattice.
-
-    Ties go to the smaller C, then the smaller gamma.
+    """Exhaustive CV accuracy over the (2^a, 2^b) lattice; the result keeps
+    the best cell's held-out decisions. Ties go to the smaller C, then gamma.
     """
     c_axis = exponent_lattice(*c_exponents)
     g_axis = exponent_lattice(*g_exponents)
     cs, gammas = [float(2.0**a) for a in c_axis], [float(2.0**g) for g in g_axis]
-    _, dec = cv_decisions(x, y, ids, k, seed, cs, gammas, kernel)
+    folds, dec = cv_decisions(x, y, ids, k, seed, cs, gammas, kernel)
     acc = np.sum(np.where(dec > 0, 1, -1) == np.asarray(y), axis=2) / len(y)
     i, j = np.unravel_index(np.argmax(acc), acc.shape)  # the first maximum in C-major order
     surface = [(float(a), float(g), float(acc[m, n]))
                for m, a in enumerate(c_axis) for n, g in enumerate(g_axis)]
-    return GridSearchResult(cs[i], gammas[j], float(acc[i, j]), surface)
+    return GridSearchResult(cs[i], gammas[j], float(acc[i, j]), surface, folds, dec[i, j].copy())
 
 
 def model_to_json(clf: SmoSVC) -> str:

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from sonocad import image, phantom, pipeline, roi
+from sonocad import image, phantom, pipeline, roi, svm
 from sonocad.cli import main
 from sonocad.config import PipelineConfig
 
@@ -343,6 +343,45 @@ class TestPipelineCommand:
         assert err_lines[0] == "case,stage,message"
         assert len(err_lines) == 2
         assert ",read," in err_lines[1]
+
+    @pytest.mark.parametrize("lost", [["case_0000_benign.pgm"], "all"], ids=["one", "all"])
+    def test_class_left_short_by_failures_exit_3(self, tmp_path, capsys, lost):
+        # 5 + 5 cases pass the check for the 5 default folds, but a failed
+        # read leaves too few benign ones; this once exited 2 with the
+        # message "class -1.0 has fewer than k=5 members"
+        data = tmp_path / "data"
+        assert main(["phantom", "--benign", "5", "--malignant", "5", "--seed", "1",
+                     "--out-dir", str(data)]) == 0
+        capsys.readouterr()
+        names = lost if lost != "all" else [n for n in os.listdir(data) if n.endswith(".pgm")]
+        for name in names:
+            os.remove(data / name)
+        out = tmp_path / "run"
+        assert main(["pipeline", "--annotations", str(data / "annotations.csv"),
+                     "--out-dir", str(out)]) == 3
+        failed = 1 if lost != "all" else 5
+        assert f"{failed} of 5 benign cases failed" in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == ["errors.csv", "features.csv"]
+
+    def test_one_cross_validation_per_run(self, dataset_dir, tmp_path, monkeypatch):
+        # the report scores the searched cell from the search's own held-out
+        # decisions; a second cross-validation of that cell once made two calls
+        calls = []
+        cv_decisions = svm.cv_decisions
+        monkeypatch.setattr(svm, "cv_decisions",
+                            lambda *args: calls.append(args) or cv_decisions(*args))
+
+        def never(*args, **kwargs):
+            raise AssertionError("evaluate_cv called")
+
+        monkeypatch.setattr(pipeline, "evaluate_cv", never)
+        cfg = PipelineConfig().override(
+            c_exponents=(0.0, 1.0, 1.0), g_exponents=(0.0, 1.0, 1.0), folds=2
+        )
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(cfg.to_json())
+        assert self._run(dataset_dir, tmp_path / "run", cfg_path) == 0
+        assert len(calls) == 1
 
     @pytest.mark.parametrize(
         "rows",

@@ -391,6 +391,15 @@ class TestGridSearch:
         with pytest.raises(ValueError, match="exponents"):
             svm.grid_search(x, y, ids, k=3, c_exponents=exponents, g_exponents=(0.0, 0.0, 1.0))
 
+    @pytest.mark.parametrize("exponents, want", [
+        ((0, 1, 0.6), [0.0, 0.6]),  # 1 / 0.6 rounds up to 2 steps, past the stop
+        ((-8, 8, 0.6), -8 + 0.6 * np.arange(27)),  # ended at 8.2
+    ])
+    def test_lattice_ends_at_or_before_stop(self, exponents, want):
+        got = svm.exponent_lattice(*exponents)
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+        assert got[-1] <= exponents[1]
+
     def test_points_per_axis_capped(self):
         assert len(svm.exponent_lattice(0, svm.MAX_LATTICE_POINTS - 1, 1)) == svm.MAX_LATTICE_POINTS
         with pytest.raises(ValueError, match="points"):
@@ -513,9 +522,13 @@ def _oracle_grid_search(x, y, ids, k, seed, c_exponents, g_exponents, kernel):
             acc = correct / len(y)
             surface.append((float(a), float(g), acc))
             if best is None or acc > best[0]:
-                best = (acc, float(2.0**a), float(2.0**g))
+                best = (acc, float(2.0**a), float(2.0**g), folds)
+    decisions = np.empty(len(y))
+    for f in best[3]:
+        decisions[f.test_idx] = f.decisions
     return svm.GridSearchResult(
-        best_c=best[1], best_gamma=best[2], best_accuracy=best[0], surface=surface
+        best_c=best[1], best_gamma=best[2], best_accuracy=best[0], surface=surface,
+        folds=[f.test_idx for f in best[3]], decisions=decisions,
     )
 
 
@@ -569,6 +582,10 @@ class TestFoldLoopMatchesOracle:
         assert got.surface == want.surface
         assert (got.best_c, got.best_gamma, got.best_accuracy) == (
             want.best_c, want.best_gamma, want.best_accuracy)
+        # the search keeps its folds and the best cell's held-out decisions
+        assert len(got.folds) == len(want.folds)
+        assert all(np.array_equal(a, b) for a, b in zip(got.folds, want.folds))
+        assert np.array_equal(got.decisions, want.decisions)
 
         # the held-out decisions themselves are bit-identical
         c, gamma = got.best_c, got.best_gamma
