@@ -31,8 +31,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 # config fields that a stage flag can set; each flag's dest is the field name
-_FLAG_FIELDS = ("denoise_radius", "unsharp_amount", "n_segments", "grow_threshold",
-                "svm_c", "svm_gamma", "kernel", "folds")
+_FLAG_FIELDS = ("denoise_radius", "n_segments", "grow_threshold", "svm_c", "svm_gamma", "folds")
 
 
 def _load_config(args) -> PipelineConfig:
@@ -104,7 +103,7 @@ def cmd_evaluate(args) -> int:
     with open(args.model) as fh:
         clf = svm.model_from_json(fh.read())
     x, y, ids = _load_features(args.features)
-    cfg = cfg.override(svm_c=clf.c, kernel=clf.kernel_spec.kind, svm_gamma=clf.kernel_spec.gamma)
+    cfg = cfg.override(svm_c=clf.c, svm_gamma=clf.kernel_spec.gamma)
     per_fold, curve = pipeline.evaluate_cv(x, y, ids, cfg)
     pipeline.write_file(args.out, metrics.report_csv(per_fold))
     if args.roc:
@@ -143,7 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = stage("preprocess", "equalize + denoise an image")
     p.add_argument("input"); p.add_argument("output")
     p.add_argument("--denoise-radius", type=int, default=None, help="0 skips the median filter")
-    p.add_argument("--unsharp", dest="unsharp_amount", type=float, default=None, metavar="AMT")
     p.set_defaults(func=cmd_preprocess)
 
     p = stage("segment", "extract the ROI from a seed point")
@@ -165,7 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("features")
     p.add_argument("--c", dest="svm_c", type=float, default=None)
     p.add_argument("--gamma", dest="svm_gamma", type=float, default=None)
-    p.add_argument("--kernel", default=None, choices=svm.KERNELS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 

@@ -19,8 +19,6 @@ class PipelineConfig:
     version: int = CONFIG_VERSION
     # preprocessing; denoise_radius 0 skips the median filter
     denoise_radius: int = 1
-    unsharp_amount: float = 0.0
-    unsharp_radius: int = 1
     # superpixels
     n_segments: int = 50
     compactness: float = 10.0
@@ -33,8 +31,7 @@ class PipelineConfig:
     glcm_distance: int = 1
     glcm_angles: tuple[int, ...] = (0, 45, 90, 135)
     posterior_fraction: float = 0.5
-    # classifier / evaluation
-    kernel: str = "rbf"
+    # RBF classifier / evaluation
     svm_c: float = 1.0
     svm_gamma: float = 1.0
     folds: int = 5
@@ -51,13 +48,11 @@ class PipelineConfig:
         # the stage parameter objects and helpers check their own ranges
         self.slic_params()
         self.glcm_spec()
-        KernelSpec(self.kernel, self.svm_gamma)
+        KernelSpec(gamma=self.svm_gamma)
         for triple in (self.c_exponents, self.g_exponents):
             exponent_lattice(*triple)
         for name, ok, rule in [
             ("denoise_radius", self.denoise_radius >= 0, ">= 0 (0 skips the filter)"),
-            ("unsharp_amount", self.unsharp_amount >= 0, ">= 0 (0 skips sharpening)"),
-            ("unsharp_radius", self.unsharp_radius >= 1, ">= 1"),
             ("svm_c", self.svm_c > 0, "> 0"),
             ("grow_threshold", self.grow_threshold is None or self.grow_threshold >= 0, ">= 0"),
             ("posterior_fraction", self.posterior_fraction > 0, "> 0"),

@@ -134,20 +134,6 @@ def denoise(img: np.ndarray, radius: int = 1) -> np.ndarray:
     return ndimage.median_filter(img, size=2 * radius + 1, mode="nearest")
 
 
-def unsharp(img: np.ndarray, amount: float = 1.0, radius: int = 1) -> np.ndarray:
-    """Unsharp mask: img + amount * (img - boxblur(img)), clamped to [0, 255]."""
-    img = validate_image(img)
-    if amount < 0:
-        raise ValueError("amount must be >= 0")
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
-    if amount == 0:
-        return img.copy()
-    blur = ndimage.uniform_filter(img.astype(np.float64), size=2 * radius + 1, mode="nearest")
-    out = img.astype(np.float64) + amount * (img.astype(np.float64) - blur)
-    return np.clip(np.round(out), 0, 255).astype(np.uint8)
-
-
 def to_lightness(img: np.ndarray) -> np.ndarray:
     """Map intensities to the lightness channel l = v * 100 / 255.
 
@@ -159,20 +145,9 @@ def to_lightness(img: np.ndarray) -> np.ndarray:
     return img.astype(np.float64) * (100.0 / 255.0)
 
 
-def preprocess(
-    img: np.ndarray,
-    denoise_radius: int = 1,
-    unsharp_amount: float = 0.0,
-    unsharp_radius: int = 1,
-) -> np.ndarray:
-    """Equalize, then median-denoise, then (optionally) sharpen.
-
-    ``denoise_radius=0`` skips the median filter; ``unsharp_amount=0``
-    (the default) skips sharpening.
-    """
+def preprocess(img: np.ndarray, denoise_radius: int = 1) -> np.ndarray:
+    """Equalize, then median-denoise; ``denoise_radius=0`` skips the filter."""
     out = histogram_equalize(img)
     if denoise_radius != 0:
         out = denoise(out, denoise_radius)
-    if unsharp_amount != 0:
-        out = unsharp(out, unsharp_amount, unsharp_radius)
     return out

@@ -94,8 +94,6 @@ def roc(decisions, truth) -> RocCurve:
     ends = np.flatnonzero(np.append(d[1:] != d[:-1], True))  # last index of each tie block
     tp, fp = np.cumsum(t == 1)[ends].tolist(), np.cumsum(t == -1)[ends].tolist()
     points = [(0.0, 0.0)] + [(f / n_neg, p / n_pos) for f, p in zip(fp, tp)]
-    if points[-1] != (1.0, 1.0):
-        points.append((1.0, 1.0))
     area = 0.0
     for (x0, y0), (x1, y1) in zip(points, points[1:]):
         area += (x1 - x0) * (y0 + y1) / 2.0

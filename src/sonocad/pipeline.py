@@ -40,7 +40,7 @@ class CaseResult:
 
 
 def preprocess(img: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
-    return image.preprocess(img, cfg.denoise_radius, cfg.unsharp_amount, cfg.unsharp_radius)
+    return image.preprocess(img, cfg.denoise_radius)
 
 
 def segment(pre: np.ndarray, seed_x: int, seed_y: int, cfg: PipelineConfig) -> roi.RoiMask:
@@ -105,25 +105,35 @@ def rows_to_matrix(
     return x, y, ids
 
 
+def _check_folds(y: np.ndarray, cfg: PipelineConfig):
+    """ValueError naming the class when a class has fewer rows than folds."""
+    for lab, name in ((-1, "benign"), (1, "malignant")):
+        n = int(np.sum(y == lab))
+        if n < cfg.folds:
+            raise ValueError(f"{n} {name} rows, too few for {cfg.folds} folds")
+
+
 def grid_search(
     x: np.ndarray, y: np.ndarray, ids: list[str], cfg: PipelineConfig
 ) -> svm.GridSearchResult:
+    _check_folds(y, cfg)
     return svm.grid_search(
         x, y, ids, k=cfg.folds, seed=cfg.seed,
-        c_exponents=cfg.c_exponents, g_exponents=cfg.g_exponents, kernel=cfg.kernel,
+        c_exponents=cfg.c_exponents, g_exponents=cfg.g_exponents,
     )
 
 
 def train(x: np.ndarray, y: np.ndarray, cfg: PipelineConfig) -> svm.SmoSVC:
-    return svm.SmoSVC(c=cfg.svm_c, kernel=cfg.kernel, gamma=cfg.svm_gamma).fit(x, y)
+    return svm.SmoSVC(c=cfg.svm_c, gamma=cfg.svm_gamma).fit(x, y)
 
 
 def evaluate_cv(
     x: np.ndarray, y: np.ndarray, ids: list[str], cfg: PipelineConfig
 ) -> tuple[list[metrics.ConfusionCounts], metrics.RocCurve]:
     """``score_folds`` of the config's (C, gamma) under k-fold CV."""
+    _check_folds(y, cfg)
     folds, dec = svm.cv_decisions(
-        x, y, ids, cfg.folds, cfg.seed, [cfg.svm_c], [cfg.svm_gamma], cfg.kernel
+        x, y, ids, cfg.folds, cfg.seed, [cfg.svm_c], [cfg.svm_gamma]
     )
     return score_folds(folds, dec[0, 0], y)
 

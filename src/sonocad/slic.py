@@ -1,10 +1,10 @@
 """SLIC superpixel clustering: localized 5-D k-means over (l, a, b, x, y).
 
 For grayscale input the chroma channels are identically zero, so centers
-carry (l, x, y) only. The search for each center is bounded to a 2S x 2S
-window around it, S being the grid step derived from the target cluster
-count. Tie-breaking is fixed everywhere (lowest label index, row-major
-scan) so the labeling is deterministic.
+carry (l, x, y) only. The search for each center is bounded to a 4S x 4S
+window around it, 2S on each side, S being the grid step derived from the
+target cluster count. Tie-breaking is fixed everywhere (lowest label index,
+row-major scan) so the labeling is deterministic.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ def _assign(
 ) -> tuple[np.ndarray, float]:
     """One assignment pass of the localized k-means.
 
-    Centers are visited in index order; each claims the pixels of its 2S x 2S
+    Centers are visited in index order; each claims the pixels of its 4S x 4S
     window to which it is strictly closer than every earlier center, so ties
     go to the lower index. A pixel outside every window goes to the spatially
     nearest center. Returns the labels and the largest per-axis offset from a
@@ -148,7 +148,7 @@ def _assign(
         np.abs(ay[:, None] - centers[:, 2].take(labels)).max(where=claimed, initial=0.0),
     )
 
-    # Once centers drift a pixel can fall outside every 2S window; give it
+    # Once centers drift a pixel can fall outside every 4S window; give it
     # to the spatially nearest center so the partition invariant holds.
     oy, ox = np.nonzero(~claimed)
     d = (ox[:, None] - centers[None, :, 1]) ** 2 + (oy[:, None] - centers[None, :, 2]) ** 2
@@ -164,7 +164,7 @@ def slic(
     """Cluster the image into superpixels and enforce label connectivity.
 
     ``enforce=False`` returns the raw converged assignment, where every pixel
-    is within the 2S x 2S search window of its center but labels may still be
+    is within the 4S x 4S search window of its center but labels may still be
     fragmented.
     """
     img = validate_image(img)

@@ -1,6 +1,6 @@
 """Soft-margin SVM trained by sequential minimal optimization.
 
-Kernels: RBF, K(a, b) = exp(-gamma * ||a - b||^2), and linear. Includes
+The kernel is RBF, K(a, b) = exp(-gamma * ||a - b||^2). Includes
 min-max feature normalization, stratified k-fold splitting keyed on case ids,
 exponent-lattice grid search over (C, gamma) and JSON model persistence.
 
@@ -28,18 +28,17 @@ _SV_EPS = 1e-9  # alphas above this are support vectors
 _TOL = 1e-3  # the KKT tolerance of every fit
 _STACK_BYTES = 64 << 20  # the most Gram bytes one batched solve holds
 MAX_STEPS = 100_000  # step cap: ~100x the most steps (1,046) of a 120x9 fit on a 21x21 lattice
-KERNELS = ("rbf", "linear")
 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    kind: str = "rbf"
+    kind: str = "rbf"  # the one kernel; model.json names it
     gamma: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in KERNELS:
+        if self.kind != "rbf":
             raise ValueError(f"unknown kernel {self.kind!r}")
-        if self.kind == "rbf" and self.gamma <= 0:
+        if self.gamma <= 0:
             raise ValueError("rbf gamma must be > 0")
 
 
@@ -49,8 +48,6 @@ def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"dimension mismatch {a.shape[1]} vs {b.shape[1]}")
-    if spec.kind == "linear":
-        return a @ b.T
     sq = (a**2).sum(axis=1)[:, None] + (b**2).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
     return np.exp(-spec.gamma * np.maximum(sq, 0.0))
 
@@ -289,7 +286,7 @@ def kfold_split(ids: list[str], y: np.ndarray, k: int, seed: int) -> list[np.nda
 
 def cv_decisions(
     x: np.ndarray, y: np.ndarray, ids: list[str], k: int, seed: int,
-    cs: list[float], gammas: list[float], kernel: str,
+    cs: list[float], gammas: list[float],
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """The folds of ``kfold_split`` and a ``(len(cs), len(gammas), n)`` array
     whose entry [i, j, r] is row r's held-out decision under C = cs[i] and
@@ -307,7 +304,7 @@ def cv_decisions(
         train[test] = False
         norm = MinMaxNormalizer().fit(x[train])
         sets.append((norm.transform(x[train]), y[train], norm.transform(x[test])))
-    specs = [KernelSpec(kernel, gamma) for gamma in gammas]
+    specs = [KernelSpec(gamma=gamma) for gamma in gammas]
     cells = [(f, j) for f in range(len(folds)) for j in range(len(gammas))]
     size = max(len(y_train) for _, y_train, _ in sets)
     per_stack = max(1, _STACK_BYTES // (8 * size * size))
@@ -375,7 +372,6 @@ def grid_search(
     seed: int = 0,
     c_exponents: tuple[float, float, float] = DEFAULT_EXPONENTS,
     g_exponents: tuple[float, float, float] = DEFAULT_EXPONENTS,
-    kernel: str = "rbf",
 ) -> GridSearchResult:
     """Exhaustive CV accuracy over the (2^a, 2^b) lattice; the result keeps
     the best cell's held-out decisions. Ties go to the smaller C, then gamma.
@@ -383,7 +379,7 @@ def grid_search(
     c_axis = exponent_lattice(*c_exponents)
     g_axis = exponent_lattice(*g_exponents)
     cs, gammas = [float(2.0**a) for a in c_axis], [float(2.0**g) for g in g_axis]
-    folds, dec = cv_decisions(x, y, ids, k, seed, cs, gammas, kernel)
+    folds, dec = cv_decisions(x, y, ids, k, seed, cs, gammas)
     acc = np.sum(np.where(dec > 0, 1, -1) == np.asarray(y), axis=2) / len(y)
     i, j = np.unravel_index(np.argmax(acc), acc.shape)  # the first maximum in C-major order
     surface = [(float(a), float(g), float(acc[m, n]))

@@ -43,6 +43,14 @@ class TestUsage:
         ])
         assert rc == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["preprocess", "in.pgm", "out.pgm", "--unsharp", "1"],
+        ["train", "features.csv", "--out", "model.json", "--kernel", "linear"],
+    ], ids=["unsharp", "kernel"])
+    def test_removed_flags_are_usage_errors(self, capsys, argv):
+        assert main(argv) == 1
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
     def test_missing_file_is_parse_error(self, tmp_path):
         rc = main(["preprocess", str(tmp_path / "nope.pgm"), str(tmp_path / "out.pgm")])
         assert rc == 2
@@ -264,6 +272,15 @@ class TestStagesMatchPipeline:
         accuracy = next(line.split(",")[1] for line in report if line.startswith("accuracy,"))
         assert accuracy == max((line.split(",")[2] for line in surface), key=float)
 
+    @pytest.mark.parametrize("command", ["gridsearch", "evaluate"])
+    def test_class_short_of_folds_named(self, run, capsys, command):
+        # the run's 4 + 4 rows are too few for the default 5 folds
+        tmp, _, out = run
+        model = [str(out / "model.json")] if command == "evaluate" else []
+        assert main([command, *model, str(out / "features.csv"),
+                     "--out", str(tmp / "short.csv")]) == 2
+        assert "error: 4 benign rows, too few for 5 folds" in capsys.readouterr().err
+
     @pytest.mark.parametrize("model", ["[1, 2]", '{"version": 1}'], ids=["array", "no-fields"])
     def test_bad_model_is_parse_error(self, run, model):
         tmp, _, out = run
@@ -419,12 +436,14 @@ class TestPipelineCommand:
          '{"version": 1, "c_exponents": [0, 2000, 1000]}',
          '{"version": 1, "c_exponents": [0, 1' + "0" * 400 + ', 1]}',
          '{"version": 1, "c_exponents": [-1100, 0, 1100]}',
-         '{"version": 1, "g_exponents": [0, 1, 1e-12]}'],
+         '{"version": 1, "g_exponents": [0, 1, 1e-12]}', '{"version": 1, "kernel": "rbf"}',
+         '{"version": 1, "unsharp_amount": 0.0}', '{"version": 1, "unsharp_radius": 1}'],
         ids=["not-an-object", "string-for-int", "two-exponents", "removed-field", "one-fold",
              "unsupported-angle", "reversed-exponents", "negative-unsharp", "unsharp-radius-0",
              "zero-posterior-fraction", "infinite-exponent", "nan-compactness", "nan-gamma",
              "nan-c", "negative-c", "zero-c", "infinite-threshold", "overflowing-c",
-             "int-no-float-holds", "underflowing-c", "10^12-points"],
+             "int-no-float-holds", "underflowing-c", "10^12-points", "removed-kernel",
+             "removed-unsharp-amount", "removed-unsharp-radius"],
     )
     def test_bad_config_exit_2_before_extraction(
         self, dataset_dir, tmp_path, monkeypatch, capsys, doc
@@ -468,6 +487,9 @@ class TestConfig:
         ('{"version": 1, "glcm_angles": [0, "45"]}', "glcm_angles"),
         ('{"version": 1, "grow_threshold": "high"}', "grow_threshold"),
         ('{"version": 1, "kernel": "sigmoid"}', "kernel"),
+        ('{"version": 1, "kernel": "rbf"}', r"unknown config fields \['kernel'\]"),
+        ('{"version": 1, "unsharp_amount": 0.0}', r"unknown config fields \['unsharp_amount'\]"),
+        ('{"version": 1, "unsharp_radius": 1}', r"unknown config fields \['unsharp_radius'\]"),
         ('{"version": 1, "svm_gamma": 0}', "gamma"),
         ('{"version": 1, "n_segments": 0}', "n_segments"),
         ('{"version": 1, "slic_max_iters": 0}', "max_iters"),

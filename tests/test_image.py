@@ -156,34 +156,6 @@ class TestDenoise:
                 assert out[y, x] == sorted(vals)[4], (x, y)
 
 
-class TestUnsharp:
-    def test_amount_zero_identity(self):
-        rng = np.random.default_rng(4)
-        img = rng.integers(0, 256, (8, 8), dtype=np.uint8)
-        assert np.array_equal(image.unsharp(img, amount=0.0), img)
-
-    def test_constant_identity(self):
-        img = np.full((6, 6), 123, dtype=np.uint8)
-        assert np.array_equal(image.unsharp(img, amount=2.5), img)
-
-    def test_step_edge_clamped_and_sharpened(self):
-        strip = np.array([[0, 0, 255, 255]], dtype=np.uint8)
-        out = image.unsharp(strip, amount=1.0, radius=1)
-        assert out.min() >= 0 and out.max() <= 255
-        # edge contrast does not decrease
-        assert int(out[0, 2]) - int(out[0, 1]) >= 255
-
-    @pytest.mark.parametrize("amount, radius, match", [
-        (-0.5, 1, "amount"), (1.0, 0, "radius"), (1.0, -2, "radius"),
-    ])
-    def test_preprocess_rejects_what_would_not_sharpen(self, amount, radius, match):
-        # a negative amount once meant "off", and a radius below 1 blurs over
-        # one pixel, so both ran silently without sharpening
-        img = np.random.default_rng(5).integers(0, 256, (8, 8), dtype=np.uint8)
-        with pytest.raises(ValueError, match=match):
-            image.preprocess(img, 1, amount, radius)
-
-
 class TestLightness:
     def test_endpoints(self):
         img = np.array([[0, 255]], dtype=np.uint8)

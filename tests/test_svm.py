@@ -92,10 +92,10 @@ def _overlapping_problem(seed):
 
 
 class TestSmo:
-    def test_symmetric_pair_linear(self):
+    def test_symmetric_pair(self):
         x = np.array([[-1.0], [1.0]])
         y = np.array([-1, 1])
-        clf = svm.SmoSVC(c=10.0, kernel="linear", normalize=False).fit(x, y)
+        clf = svm.SmoSVC(c=10.0, gamma=1.0, normalize=False).fit(x, y)
         assert len(clf.support_vectors_) == 2
         assert clf.decision_function(np.array([[0.0]]))[0] == pytest.approx(0.0, abs=1e-6)
         assert (clf.predict(x) == y).all()
@@ -120,10 +120,9 @@ class TestSmo:
 
     def test_matches_exhaustive_dual_on_tiny_problems(self):
         rng = np.random.default_rng(3)
-        rbf, linear = svm.KernelSpec("rbf", gamma=1.0), svm.KernelSpec("linear")
+        spec = svm.KernelSpec("rbf", gamma=1.0)
         # a duplicated point gives the pair (0, 2) the curvature a = 0
-        for spec, duplicate in [(rbf, False)] * 25 + [(rbf, True), (linear, False),
-                                                      (linear, True)] * 10:
+        for duplicate in [False] * 25 + [True] * 10:
             x = rng.normal(size=(3, 2))
             if duplicate:
                 x[2] = x[0]
@@ -255,7 +254,7 @@ def _oracle_smo_solve(
     return alpha, b
 
 
-def _padded_stack(seed, kernel, sizes):
+def _padded_stack(seed, sizes):
     """Overlapping two-class problems of the given sizes, each with a repeated
     point, their Gram matrices zero-padded to the largest and their labels
     padded with 0."""
@@ -268,18 +267,17 @@ def _padded_stack(seed, kernel, sizes):
         x = rng.normal(size=(n, 3)) + 0.5 * y[:, None]
         x[1] = x[0]  # a pair of curvature a = 0
         x = svm.MinMaxNormalizer().fit(x).transform(x)
-        k_mat = svm.kernel_matrix(svm.KernelSpec(kernel, 2.0 ** rng.uniform(-2, 2)), x, x)
+        k_mat = svm.kernel_matrix(svm.KernelSpec("rbf", 2.0 ** rng.uniform(-2, 2)), x, x)
         grams[p, :n, :n], labels[p, :n] = k_mat, y
         problems.append((k_mat, y))
     return grams, labels, problems
 
 
 class TestBatchMatchesOracle:
-    @pytest.mark.parametrize("kernel", svm.KERNELS)
-    @pytest.mark.parametrize("seed", range(4))
-    def test_alphas_bit_identical(self, seed, kernel):
+    @pytest.mark.parametrize("seed", range(4), ids=lambda seed: f"{seed}-rbf")
+    def test_alphas_bit_identical(self, seed):
         sizes = np.random.default_rng(seed).integers(6, 40, size=9).tolist()
-        grams, labels, problems = _padded_stack(seed, kernel, sizes)
+        grams, labels, problems = _padded_stack(seed, sizes)
         c = 2.0  # low enough that alphas reach the box
         got = svm._smo_batch(grams, labels, c, 1e-3)
         at_box = 0
@@ -296,7 +294,7 @@ class TestBatchMatchesOracle:
     def test_only_capped_problems_warn(self, monkeypatch):
         monkeypatch.setattr(svm, "MAX_STEPS", 12)
         sizes = [4, 30, 6, 25, 5, 35, 8]
-        grams, labels, problems = _padded_stack(7, "rbf", sizes)
+        grams, labels, problems = _padded_stack(7, sizes)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             oracle = [_oracle_smo_solve(k_mat, y, 1.0)[0] for k_mat, y in problems]
@@ -458,8 +456,10 @@ class TestPersistence:
         (lambda m: {k: v for k, v in m.items() if k != "alphas"}, "lacks field 'alphas'"),
         (lambda m: {**m, "kernel": {"gamma": 1.0}}, "lacks field 'kind'"),
         (lambda m: {**m, "kernel": {"kind": "sigmoid", "gamma": 1.0}}, "unknown kernel"),
+        (lambda m: {**m, "kernel": {"kind": "linear", "gamma": 1.0}}, "unknown kernel"),
         (lambda m: {**m, "kernel": 3}, "malformed"),
-    ], ids=["array", "version-only", "no-alphas", "no-kind", "sigmoid", "kernel-not-object"])
+    ], ids=["array", "version-only", "no-alphas", "no-kind", "sigmoid", "linear",
+            "kernel-not-object"])
     def test_rejects_malformed_model(self, mutate, match):
         x, y, ids = _toy_problem()
         model = json.loads(svm.model_to_json(svm.SmoSVC(c=4.0, gamma=0.8).fit(x, y)))
@@ -508,7 +508,7 @@ def _oracle_cross_validate(
     return results
 
 
-def _oracle_grid_search(x, y, ids, k, seed, c_exponents, g_exponents, kernel):
+def _oracle_grid_search(x, y, ids, k, seed, c_exponents, g_exponents):
     c_axis = svm.exponent_lattice(*c_exponents)
     g_axis = svm.exponent_lattice(*g_exponents)
     best = None
@@ -516,7 +516,7 @@ def _oracle_grid_search(x, y, ids, k, seed, c_exponents, g_exponents, kernel):
     for a in c_axis:
         for g in g_axis:
             folds = _oracle_cross_validate(
-                x, y, ids, k, seed, c=float(2.0**a), kernel=kernel, gamma=float(2.0**g)
+                x, y, ids, k, seed, c=float(2.0**a), gamma=float(2.0**g)
             )
             correct = sum(int(np.sum(f.predictions == np.asarray(y)[f.test_idx])) for f in folds)
             acc = correct / len(y)
@@ -534,7 +534,7 @@ def _oracle_grid_search(x, y, ids, k, seed, c_exponents, g_exponents, kernel):
 
 def _oracle_evaluate_cv(x, y, ids, cfg):
     folds = _oracle_cross_validate(
-        x, y, ids, cfg.folds, cfg.seed, c=cfg.svm_c, kernel=cfg.kernel, gamma=cfg.svm_gamma
+        x, y, ids, cfg.folds, cfg.seed, c=cfg.svm_c, gamma=cfg.svm_gamma
     )
     per_fold = [metrics.accumulate(f.predictions, y[f.test_idx]) for f in folds]
     decisions = np.empty(len(y))
@@ -568,7 +568,6 @@ class TestFoldLoopMatchesOracle:
         x[rng.integers(0, len(y), repeats)] = x[rng.integers(0, len(y), repeats)]
         x = np.round(x, data.draw(st.sampled_from([0, 1, 6]), label="decimals"))
         ids = [f"r{i:03d}" for i in rng.permutation(len(y))]
-        kernel = data.draw(st.sampled_from(svm.KERNELS), label="kernel")
 
         def axis(label):
             start = data.draw(st.integers(-4, 3), label=f"{label} start")
@@ -577,8 +576,8 @@ class TestFoldLoopMatchesOracle:
 
         c_exp, g_exp = axis("c"), axis("g")
         seed = data.draw(st.integers(0, 3), label="fold seed")
-        got = svm.grid_search(x, y, ids, k, seed, c_exp, g_exp, kernel)
-        want = _oracle_grid_search(x, y, ids, k, seed, c_exp, g_exp, kernel)
+        got = svm.grid_search(x, y, ids, k, seed, c_exp, g_exp)
+        want = _oracle_grid_search(x, y, ids, k, seed, c_exp, g_exp)
         assert got.surface == want.surface
         assert (got.best_c, got.best_gamma, got.best_accuracy) == (
             want.best_c, want.best_gamma, want.best_accuracy)
@@ -589,11 +588,11 @@ class TestFoldLoopMatchesOracle:
 
         # the held-out decisions themselves are bit-identical
         c, gamma = got.best_c, got.best_gamma
-        _, dec = svm.cv_decisions(x, y, ids, k, seed, [c], [gamma], kernel)
-        for f in _oracle_cross_validate(x, y, ids, k, seed, c=c, kernel=kernel, gamma=gamma):
+        _, dec = svm.cv_decisions(x, y, ids, k, seed, [c], [gamma])
+        for f in _oracle_cross_validate(x, y, ids, k, seed, c=c, gamma=gamma):
             assert np.array_equal(dec[0, 0, f.test_idx], f.decisions)
 
-        cfg = PipelineConfig(kernel=kernel, svm_c=c, svm_gamma=gamma, folds=k, seed=seed)
+        cfg = PipelineConfig(svm_c=c, svm_gamma=gamma, folds=k, seed=seed)
         per_fold, curve = pipeline.evaluate_cv(x, y, ids, cfg)
         want_fold, want_curve = _oracle_evaluate_cv(x, y, ids, cfg)
         assert per_fold == want_fold
@@ -627,10 +626,10 @@ class TestFoldLoopMatchesOracle:
     def test_stack_cut_at_byte_cap(self, monkeypatch):
         x, y, ids = _toy_problem()
         cs, gammas = [0.5, 4.0], [0.5, 1.0, 2.0]
-        _, whole = svm.cv_decisions(x, y, ids, 3, 0, cs, gammas, "rbf")
+        _, whole = svm.cv_decisions(x, y, ids, 3, 0, cs, gammas)
         batches = _count_batches(monkeypatch)
         monkeypatch.setattr(svm, "_STACK_BYTES", 4 * 8 * 16 * 16)  # four 16-row training Grams
-        _, cut = svm.cv_decisions(x, y, ids, 3, 0, cs, gammas, "rbf")
+        _, cut = svm.cv_decisions(x, y, ids, 3, 0, cs, gammas)
         assert np.array_equal(cut, whole)
         assert batches == [4, 4, 4, 4, 1, 1]  # per stack of (fold, gamma) problems, per C
 
