@@ -7,7 +7,10 @@ config fields become calls; ``run_pipeline`` and the CLI are built from them.
 from __future__ import annotations
 
 import csv
+import functools
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,26 +73,37 @@ class BatchResult:
     errors: list[tuple[str, str, str]]  # (case, stage, message)
 
 
+def _extract_case(rec: dict, base_dir: str, cfg: PipelineConfig):
+    """(feature row, None) for one annotated case, or (None, its error)."""
+    name = rec["image"]
+    try:
+        img = read_image(os.path.join(base_dir, name))
+    except (OSError, image.PgmParseError) as exc:
+        return None, (name, "read", str(exc))
+    try:
+        result = process_case(img, rec["seed_x"], rec["seed_y"], cfg, name=name)
+    except (ValueError, image.PgmParseError) as exc:
+        return None, (name, "extract", str(exc))
+    return (name, result.features, rec["label"]), None
+
+
 def extract_batch(rows: list[dict], base_dir: str, cfg: PipelineConfig) -> BatchResult:
     """Run extraction over every annotated case (``read_annotations`` rows,
     image names relative to ``base_dir``), collecting per-case errors instead
-    of aborting."""
-    out_rows = []
-    errors = []
-    for rec in rows:
-        name = rec["image"]
-        try:
-            img = read_image(os.path.join(base_dir, name))
-        except (OSError, image.PgmParseError) as exc:
-            errors.append((name, "read", str(exc)))
-            continue
-        try:
-            result = process_case(img, rec["seed_x"], rec["seed_y"], cfg, name=name)
-        except (ValueError, image.PgmParseError) as exc:
-            errors.append((name, "extract", str(exc)))
-            continue
-        out_rows.append((name, result.features, rec["label"]))
-    return BatchResult(feature_rows=out_rows, errors=errors)
+    of aborting. Cases run in forked workers, one per core of the affinity
+    mask (serially on one core or without fork); rows and errors keep the
+    annotation order, so the result does not depend on the worker count."""
+    case = functools.partial(_extract_case, base_dir=base_dir, cfg=cfg)
+    forks = hasattr(os, "sched_getaffinity") and "fork" in multiprocessing.get_all_start_methods()
+    workers = min(len(os.sched_getaffinity(0)), len(rows)) if forks else 1
+    if workers > 1:
+        # fork, not spawn: workers need no re-import and see this module as it is now
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            results = list(pool.map(case, rows))
+    else:
+        results = list(map(case, rows))
+    return BatchResult(feature_rows=[r for r, _ in results if r],
+                       errors=[e for _, e in results if e])
 
 
 def rows_to_matrix(

@@ -18,6 +18,11 @@ def dataset_dir(tmp_path_factory):
     return d
 
 
+def _pin_cores(monkeypatch, n):
+    """Extraction sees an affinity mask of n cores."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
 def _first_case(dataset_dir):
     rows = roi.read_annotations((dataset_dir / "annotations.csv").read_text())
     return rows[0]
@@ -459,6 +464,95 @@ class TestPipelineCommand:
         assert not out.exists()
         # the config is at fault, not the 4 + 4 cases, too few for the 5 default folds
         assert "annotations need" not in capsys.readouterr().err
+
+
+class TestWorkerCount:
+    """Extraction runs one forked worker per core of the affinity mask; the
+    count changes nothing in what a run returns or writes."""
+
+    # a missing image, a corrupt PGM and a seed outside its image, between good cases
+    BAD = {"missing.pgm": "read", "corrupt.pgm": "read", "outside.pgm": "extract"}
+
+    @pytest.fixture
+    def annotations(self, dataset_dir, tmp_path):
+        data = tmp_path / "data"
+        data.mkdir()
+        lines = (dataset_dir / "annotations.csv").read_text().splitlines()
+        for line in lines[1:]:
+            name = line.split(",")[0]
+            (data / name).write_bytes((dataset_dir / name).read_bytes())
+        (data / "corrupt.pgm").write_bytes(b"P5\n160 160\n255\n\x00")
+        (data / "outside.pgm").write_bytes((data / lines[1].split(",")[0]).read_bytes())
+        lines[1:1] = ["missing.pgm,80,80,benign"]
+        lines[5:5] = ["corrupt.pgm,80,80,malignant"]
+        lines.append("outside.pgm,500,80,benign")
+        (data / "annotations.csv").write_text("\n".join(lines) + "\n")
+        return data / "annotations.csv"
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Worker counts of the pools that extraction makes."""
+        made = []
+        real = pipeline.ProcessPoolExecutor
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor",
+                            lambda n, **kwargs: made.append(n) or real(n, **kwargs))
+        return made
+
+    def test_rows_and_errors_in_annotation_order(self, annotations, monkeypatch, pools):
+        rows = roi.read_annotations(annotations.read_text())
+        batches = []
+        for n in (1, 2):
+            _pin_cores(monkeypatch, n)
+            batches.append(pipeline.extract_batch(rows, str(annotations.parent), PipelineConfig()))
+        assert pools == [2]
+        one, two = batches
+        assert one.feature_rows == two.feature_rows
+        assert one.errors == two.errors
+        assert [r[0] for r in two.feature_rows] == [
+            r["image"] for r in rows if r["image"] not in self.BAD]
+        assert [(case, stage) for case, stage, _ in two.errors] == [
+            (r["image"], self.BAD[r["image"]]) for r in rows if r["image"] in self.BAD]
+
+    def test_artifacts_byte_identical(self, annotations, tmp_path, monkeypatch, pools):
+        cfg = PipelineConfig().override(
+            c_exponents=(0.0, 1.0, 1.0), g_exponents=(0.0, 1.0, 1.0), folds=2
+        )
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(cfg.to_json())
+        outs = []
+        for n in (1, 2):
+            _pin_cores(monkeypatch, n)
+            outs.append(tmp_path / f"run_{n}")
+            assert main(["pipeline", "--annotations", str(annotations), "--config",
+                         str(cfg_path), "--out-dir", str(outs[-1])]) == 3
+        assert pools == [2]
+        names = sorted(os.listdir(outs[0]))
+        assert names == ["errors.csv", "features.csv", "model.json", "report.csv",
+                         "roc.csv", "surface.csv"]
+        assert sorted(os.listdir(outs[1])) == names
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+    def test_no_more_workers_than_cases(self, dataset_dir, monkeypatch, pools):
+        rows = roi.read_annotations((dataset_dir / "annotations.csv").read_text())
+        _pin_cores(monkeypatch, 4)
+        for n in (3, 1):
+            pipeline.extract_batch(rows[:n], str(dataset_dir), PipelineConfig())
+        assert pools == [3]
+
+    def test_worker_exception_reaches_caller(self, dataset_dir, monkeypatch, pools):
+        # the `never` guards of the exit-2 tests rely on this: a forked worker
+        # calls the patched process_case, and what it raises is re-raised here
+        def never(*args, **kwargs):
+            raise AssertionError(f"process_case called in {os.getpid()}")
+
+        monkeypatch.setattr(pipeline, "process_case", never)
+        _pin_cores(monkeypatch, 2)
+        rows = roi.read_annotations((dataset_dir / "annotations.csv").read_text())
+        with pytest.raises(AssertionError, match="process_case called in") as exc:
+            pipeline.extract_batch(rows, str(dataset_dir), PipelineConfig())
+        assert str(exc.value) != f"process_case called in {os.getpid()}"
+        assert pools == [2]
 
 
 class TestConfig:
