@@ -51,7 +51,7 @@ def cmd_preprocess(args) -> int:
 
 def cmd_segment(args) -> int:
     try:
-        sx, sy = (int(v) for v in args.seed.split(","))
+        sx, sy = roi.parse_seed(args.seed.split(","))
     except ValueError:
         print(f"error: bad --seed {args.seed!r}, expected X,Y", file=sys.stderr)
         return EXIT_USAGE
@@ -71,7 +71,7 @@ def cmd_features(args) -> int:
     if n_regions != 1:  # the boundary trace follows one region only
         raise ValueError(f"mask has {n_regions} 8-connected regions, expected 1")
     roi_mask = roi.RoiMask.from_mask(mask)
-    fv = pipeline.features(pre, roi_mask, cfg)
+    fv = feat.extract_all(pre, roi_mask)
     pipeline.write_file(args.out, feat.write_feature_csv([(args.input, fv, args.label)]))
     return EXIT_OK
 

@@ -7,7 +7,6 @@ import math
 from dataclasses import asdict, dataclass, fields, replace
 from typing import get_args, get_origin, get_type_hints
 
-from .features import GlcmSpec
 from .slic import SlicParams
 from .svm import KernelSpec, exponent_lattice
 
@@ -19,18 +18,11 @@ class PipelineConfig:
     version: int = CONFIG_VERSION
     # preprocessing; denoise_radius 0 skips the median filter
     denoise_radius: int = 1
-    # superpixels
+    # superpixels; the other SLIC, GLCM and posterior settings are fixed at
+    # the defaults of SlicParams, GlcmSpec and features.POSTERIOR_FRACTION
     n_segments: int = 50
-    compactness: float = 10.0
-    slic_max_iters: int = 10
-    slic_conv_eps: float = 0.25
     # region growing; None = 0.15 x intensity range of the preprocessed image
     grow_threshold: float | None = None
-    # features
-    glcm_levels: int = 32
-    glcm_distance: int = 1
-    glcm_angles: tuple[int, ...] = (0, 45, 90, 135)
-    posterior_fraction: float = 0.5
     # RBF classifier / evaluation
     svm_c: float = 1.0
     svm_gamma: float = 1.0
@@ -46,8 +38,7 @@ class PipelineConfig:
             if not _conforms(value, hints[f.name]):
                 raise ValueError(f"config field {f.name}: {value!r} is not {f.type}")
         # the stage parameter objects and helpers check their own ranges
-        self.slic_params()
-        self.glcm_spec()
+        SlicParams(n_segments=self.n_segments)
         KernelSpec(gamma=self.svm_gamma)
         for triple in (self.c_exponents, self.g_exponents):
             exponent_lattice(*triple)
@@ -55,26 +46,10 @@ class PipelineConfig:
             ("denoise_radius", self.denoise_radius >= 0, ">= 0 (0 skips the filter)"),
             ("svm_c", self.svm_c > 0, "> 0"),
             ("grow_threshold", self.grow_threshold is None or self.grow_threshold >= 0, ">= 0"),
-            ("posterior_fraction", self.posterior_fraction > 0, "> 0"),
             ("folds", self.folds >= 2, ">= 2"),
         ]:
             if not ok:
                 raise ValueError(f"config field {name}: must be {rule}")
-
-    def slic_params(self) -> SlicParams:
-        return SlicParams(
-            n_segments=self.n_segments,
-            compactness=self.compactness,
-            max_iters=self.slic_max_iters,
-            conv_eps=self.slic_conv_eps,
-        )
-
-    def glcm_spec(self) -> GlcmSpec:
-        return GlcmSpec(
-            levels=self.glcm_levels,
-            distance=self.glcm_distance,
-            angles=tuple(self.glcm_angles),
-        )
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2) + "\n"
@@ -102,8 +77,6 @@ def _conforms(value, hint) -> bool:
     a float, a bool for neither, and NaN or an infinity for no number."""
     args = get_args(hint)
     if get_origin(hint) is tuple:
-        if args[-1] is Ellipsis and isinstance(value, tuple):  # non-empty, any length
-            args = (args[0],) * max(len(value), 1)
         return (isinstance(value, tuple) and len(value) == len(args)
                 and all(map(_conforms, value, args)))
     if args:  # a union, such as float | None

@@ -23,6 +23,10 @@ FEATURE_NAMES = [
 
 _ANGLE_OFFSETS = {0: (1, 0), 45: (1, -1), 90: (0, -1), 135: (-1, -1)}
 
+# height of the posterior rectangle below the ROI, as a fraction of the ROI's
+# bounding-box height
+POSTERIOR_FRACTION = 0.5
+
 
 @dataclass(frozen=True)
 class GlcmSpec:
@@ -177,20 +181,18 @@ def glcm_correlation(p: np.ndarray) -> float:
     return cov / math.sqrt(var_x * var_y)
 
 
-def attenuation_coefficient(
-    img: np.ndarray, mask: np.ndarray, posterior_fraction: float = 0.5
-) -> float:
+def attenuation_coefficient(img: np.ndarray, mask: np.ndarray) -> float:
     """Mean ROI intensity over the mean of the posterior rectangle.
 
     The rectangle spans the mask's bounding-box columns and extends below it
-    by ``posterior_fraction`` of the box height (clipped to the image). Both
+    by ``POSTERIOR_FRACTION`` of the box height (clipped to the image). Both
     means carry a +1 offset so an all-black band cannot zero the denominator.
     """
     img = validate_image(img)
     mask = np.asarray(mask, dtype=bool)
     r0, r1, c0, c1 = bounding_box(mask)
     h = r1 - r0 + 1
-    rows = max(1, round(posterior_fraction * h))
+    rows = max(1, round(POSTERIOR_FRACTION * h))
     y0, y1 = r1 + 1, min(img.shape[0], r1 + 1 + rows)
     if y0 >= y1:
         raise ValueError("mask touches the bottom edge, posterior rectangle is empty")
@@ -199,15 +201,10 @@ def attenuation_coefficient(
     return (roi_mean + 1.0) / (back_mean + 1.0)
 
 
-def extract_all(
-    img: np.ndarray,
-    roi: RoiMask,
-    spec: GlcmSpec | None = None,
-    posterior_fraction: float = 0.5,
-) -> FeatureVector:
+def extract_all(img: np.ndarray, roi: RoiMask) -> FeatureVector:
     """All nine features, in the canonical order."""
     profile = centroid_radial_lengths(roi.mask, roi.boundary)
-    p = glcm(img, roi.mask, spec)
+    p = glcm(img, roi.mask)
     return FeatureVector(
         ar=aspect_ratio(roi.mask),
         rd=roundness(roi.area_px, roi.perimeter),
@@ -217,7 +214,7 @@ def extract_all(
         energy=glcm_energy(p),
         homogeneity=glcm_homogeneity(p),
         correlation=glcm_correlation(p),
-        ac=attenuation_coefficient(img, roi.mask, posterior_fraction),
+        ac=attenuation_coefficient(img, roi.mask),
     )
 
 

@@ -11,9 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-INDEX_NAMES = ["accuracy", "sensitivity", "specificity", "positive_accuracy", "negative_accuracy"]
-
-
 @dataclass(frozen=True)
 class ConfusionCounts:
     tp: int = 0

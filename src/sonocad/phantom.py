@@ -8,6 +8,7 @@ rasterization, so segmentation quality can be scored unambiguously.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -45,8 +46,8 @@ class PhantomSpec:
             raise ValueError(f"unknown posterior mode {self.posterior_mode!r}")
         if self.semi_axis_x < 2 or self.semi_axis_y < 2:
             raise ValueError("semi-axes must be >= 2")
-        if self.spike_amplitude < 0 or self.speckle_sigma < 0:
-            raise ValueError("amplitude and sigma must be >= 0")
+        if not all(0 <= v < math.inf for v in (self.spike_amplitude, self.speckle_sigma)):
+            raise ValueError("amplitude and sigma must be finite and >= 0")
 
 
 def default_spec(kind: str, seed: int = 0) -> PhantomSpec:

@@ -49,13 +49,9 @@ def preprocess(img: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
 def segment(pre: np.ndarray, seed_x: int, seed_y: int, cfg: PipelineConfig) -> roi.RoiMask:
     """The ROI grown from the seed over the superpixels of the preprocessed
     image."""
-    labeling = slic.slic(pre, cfg.slic_params())
+    labeling = slic.slic(pre, slic.SlicParams(n_segments=cfg.n_segments))
     threshold = roi.default_threshold(pre) if cfg.grow_threshold is None else cfg.grow_threshold
     return roi.grow(pre, labeling, seed_x, seed_y, threshold)
-
-
-def features(pre: np.ndarray, roi_mask: roi.RoiMask, cfg: PipelineConfig) -> feat.FeatureVector:
-    return feat.extract_all(pre, roi_mask, cfg.glcm_spec(), cfg.posterior_fraction)
 
 
 def process_case(
@@ -64,7 +60,7 @@ def process_case(
     """Preprocess, segment from the seed, and extract the feature vector."""
     pre = preprocess(img, cfg)
     mask = segment(pre, seed_x, seed_y, cfg)
-    return CaseResult(name=name, roi_mask=mask, features=features(pre, mask, cfg))
+    return CaseResult(name=name, roi_mask=mask, features=feat.extract_all(pre, mask))
 
 
 @dataclass
@@ -119,18 +115,22 @@ def rows_to_matrix(
     return x, y, ids
 
 
-def _check_folds(y: np.ndarray, cfg: PipelineConfig):
-    """ValueError naming the class when a class has fewer rows than folds."""
-    for lab, name in ((-1, "benign"), (1, "malignant")):
-        n = int(np.sum(y == lab))
-        if n < cfg.folds:
-            raise ValueError(f"{n} {name} rows, too few for {cfg.folds} folds")
+def _check_folds(labels: list[str], cfg: PipelineConfig):
+    """ValueError naming the class when a class has fewer rows than folds;
+    ``labels`` are class names, and 'unknown' counts for neither class."""
+    for name in ("benign", "malignant"):
+        if labels.count(name) < cfg.folds:
+            raise ValueError(f"{labels.count(name)} {name} rows, too few for {cfg.folds} folds")
+
+
+def _class_names(y: np.ndarray) -> list[str]:
+    return ["malignant" if v == 1 else "benign" for v in y.tolist()]
 
 
 def grid_search(
     x: np.ndarray, y: np.ndarray, ids: list[str], cfg: PipelineConfig
 ) -> svm.GridSearchResult:
-    _check_folds(y, cfg)
+    _check_folds(_class_names(y), cfg)
     return svm.grid_search(
         x, y, ids, k=cfg.folds, seed=cfg.seed,
         c_exponents=cfg.c_exponents, g_exponents=cfg.g_exponents,
@@ -145,7 +145,7 @@ def evaluate_cv(
     x: np.ndarray, y: np.ndarray, ids: list[str], cfg: PipelineConfig
 ) -> tuple[list[metrics.ConfusionCounts], metrics.RocCurve]:
     """``score_folds`` of the config's (C, gamma) under k-fold CV."""
-    _check_folds(y, cfg)
+    _check_folds(_class_names(y), cfg)
     folds, dec = svm.cv_decisions(
         x, y, ids, cfg.folds, cfg.seed, [cfg.svm_c], [cfg.svm_gamma]
     )
@@ -172,8 +172,7 @@ def run_pipeline(annotations_path: str, cfg: PipelineConfig, out_dir: str) -> di
     with open(annotations_path) as fh:
         rows = roi.read_annotations(fh.read())
     labels = [rec["label"] for rec in rows]
-    if min(labels.count("benign"), labels.count("malignant")) < cfg.folds:
-        raise ValueError(f"annotations need {cfg.folds} benign and {cfg.folds} malignant cases")
+    _check_folds(labels, cfg)
     os.makedirs(out_dir, exist_ok=True)
     batch = extract_batch(rows, os.path.dirname(os.path.abspath(annotations_path)), cfg)
     write_file(os.path.join(out_dir, "features.csv"), feat.write_feature_csv(batch.feature_rows))

@@ -177,6 +177,15 @@ _LABELS = {"benign", "malignant", "unknown"}
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
+def parse_seed(texts: list[str]) -> tuple[int, int]:
+    """The seed point (x, y) from its two decimal fields, ASCII digits with an
+    optional sign; int() alone would also take "1_0", " 3" and non-ASCII
+    digits."""
+    if len(texts) != 2 or not all(map(_INTEGER.fullmatch, texts)):
+        raise ValueError(f"seed {tuple(texts)!r} is not two integers")
+    return int(texts[0]), int(texts[1])
+
+
 def read_annotations(text: str) -> list[dict]:
     """Parse the annotation CSV: image,seed_x,seed_y,label.
 
@@ -204,12 +213,11 @@ def read_annotations(text: str) -> list[dict]:
                     f" on line {first_line[rec['image']]}"
                 )
             first_line[rec["image"]] = reader.line_num
-            # int() alone would also take "1_0", " 3" and non-ASCII digits
-            if not all(_INTEGER.fullmatch(rec[k]) for k in ("seed_x", "seed_y")):
-                raise ValueError(
-                    f"{where}: seed ({rec['seed_x']!r}, {rec['seed_y']!r}) is not two integers"
-                )
-            rows.append({**rec, "seed_x": int(rec["seed_x"]), "seed_y": int(rec["seed_y"])})
+            try:
+                seed_x, seed_y = parse_seed([rec["seed_x"], rec["seed_y"]])
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            rows.append({**rec, "seed_x": seed_x, "seed_y": seed_y})
     except csv.Error as exc:  # e.g. a bare carriage return inside a row
         # DictReader.line_num only advances after a row parses
         raise ValueError(f"annotation line {max(reader.reader.line_num, 1)}: {exc}") from None

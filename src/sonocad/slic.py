@@ -165,7 +165,11 @@ def slic(
 
     ``enforce=False`` returns the raw converged assignment, where every pixel
     is within the 4S x 4S search window of its center but labels may still be
-    fragmented.
+    fragmented. No pipeline stage uses it; it stays because it is the one way
+    to see the assignment that connectivity enforcement starts from: the
+    benchmark times enforcement as the difference of the two calls and counts
+    the raw fragments, and the tests check enforcement against an oracle on
+    those labels.
     """
     img = validate_image(img)
     params = params or SlicParams()

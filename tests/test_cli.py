@@ -48,6 +48,18 @@ class TestUsage:
         ])
         assert rc == 1
 
+    @pytest.mark.parametrize("seed", ["80,5_6", " 80, 56", "\u0663\u0660,\u0665\u0660", "80",
+                                      "80,56,1", "80.0,56"])
+    def test_seed_outside_the_annotation_rule_is_usage_error(self, dataset_dir, tmp_path, seed):
+        # int() alone takes the first three, as the seed (80, 56) or (30, 50)
+        with pytest.raises(ValueError, match="is not two integers"):
+            roi.parse_seed(seed.split(","))
+        mask = tmp_path / "m.pgm"
+        assert main(["segment", str(dataset_dir / _first_case(dataset_dir)["image"]),
+                     "--seed", seed, "--out-mask", str(mask),
+                     "--out-contour", str(tmp_path / "c.txt")]) == 1
+        assert not mask.exists()
+
     @pytest.mark.parametrize("argv", [
         ["preprocess", "in.pgm", "out.pgm", "--unsharp", "1"],
         ["train", "features.csv", "--out", "model.json", "--kernel", "linear"],
@@ -225,7 +237,7 @@ class TestStagesMatchPipeline:
     def run(self, dataset_dir, tmp_path_factory):
         tmp = tmp_path_factory.mktemp("stages")
         cfg = PipelineConfig(
-            n_segments=40, glcm_levels=16, posterior_fraction=0.4, folds=2, seed=7,
+            n_segments=40, folds=2, seed=7,
             c_exponents=(0.0, 2.0, 1.0), g_exponents=(-1.0, 1.0, 1.0),
         )
         cfg_path = tmp / "cfg.json"
@@ -304,6 +316,15 @@ class TestPhantomCommand:
         assert rc == 0
         rows = roi.read_annotations((out / "annotations.csv").read_text())
         assert len(rows) == 5
+
+    @pytest.mark.parametrize("speckle", ["nan", "inf", "-0.1"])
+    def test_bad_speckle_exit_2_writes_nothing(self, tmp_path, capsys, speckle):
+        # NaN once gave noiseless images and infinity 0/255 ones, both exit 0
+        out = tmp_path / "data"
+        assert main(["phantom", "--benign", "2", "--malignant", "2",
+                     "--speckle", speckle, "--out-dir", str(out)]) == 2
+        assert "sigma must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPipelineCommand:
@@ -406,17 +427,22 @@ class TestPipelineCommand:
         assert len(calls) == 1
 
     @pytest.mark.parametrize(
-        "rows",
+        "rows, message",
         [
-            ["a.pgm,3,4,benign", "b.pgm,5,6,malignant", "a.pgm,1,1,malignant"],
-            ["a.pgm,3,4,benign", "b.pgm,5.5,6,malignant"],
-            ["a.pgm,3,4,benign", "b.pgm,5,6,benign", "c.pgm,1,1,unknown"],
+            (["a.pgm,3,4,benign", "b.pgm,5,6,malignant", "a.pgm,1,1,malignant"],
+             "image 'a.pgm' already annotated on line 2"),
+            (["a.pgm,3,4,benign", "b.pgm,5.5,6,malignant"], "is not two integers"),
+            (["a.pgm,3,4,benign", "b.pgm,5,6,benign", "c.pgm,1,1,unknown"],
+             "2 benign rows, too few for 5 folds"),
             # five folds by default, so each class needs five cases
-            [f"{c}{i}.pgm,3,4,{c}" for c in ("benign", "malignant") for i in range(4)],
+            ([f"{c}{i}.pgm,3,4,{c}" for c in ("benign", "malignant") for i in range(4)],
+             "4 benign rows, too few for 5 folds"),
         ],
         ids=["duplicate-image", "non-integer-seed", "single-class", "fewer-cases-than-folds"],
     )
-    def test_bad_annotations_exit_2_before_extraction(self, tmp_path, monkeypatch, rows):
+    def test_bad_annotations_exit_2_before_extraction(
+        self, tmp_path, monkeypatch, capsys, rows, message
+    ):
         def never(*args, **kwargs):
             raise AssertionError("process_case called")
 
@@ -426,6 +452,7 @@ class TestPipelineCommand:
         out = tmp_path / "run"
         assert main(["pipeline", "--annotations", str(ann), "--out-dir", str(out)]) == 2
         assert not out.exists()
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "doc",
@@ -442,13 +469,15 @@ class TestPipelineCommand:
          '{"version": 1, "c_exponents": [0, 1' + "0" * 400 + ', 1]}',
          '{"version": 1, "c_exponents": [-1100, 0, 1100]}',
          '{"version": 1, "g_exponents": [0, 1, 1e-12]}', '{"version": 1, "kernel": "rbf"}',
-         '{"version": 1, "unsharp_amount": 0.0}', '{"version": 1, "unsharp_radius": 1}'],
+         '{"version": 1, "unsharp_amount": 0.0}', '{"version": 1, "unsharp_radius": 1}',
+         '{"version": 1, "g_exponents": [-1, NaN, 1]}', '{"version": 1, "svm_gamma": Infinity}'],
         ids=["not-an-object", "string-for-int", "two-exponents", "removed-field", "one-fold",
              "unsupported-angle", "reversed-exponents", "negative-unsharp", "unsharp-radius-0",
              "zero-posterior-fraction", "infinite-exponent", "nan-compactness", "nan-gamma",
              "nan-c", "negative-c", "zero-c", "infinite-threshold", "overflowing-c",
              "int-no-float-holds", "underflowing-c", "10^12-points", "removed-kernel",
-             "removed-unsharp-amount", "removed-unsharp-radius"],
+             "removed-unsharp-amount", "removed-unsharp-radius", "nan-exponent",
+             "infinite-gamma"],
     )
     def test_bad_config_exit_2_before_extraction(
         self, dataset_dir, tmp_path, monkeypatch, capsys, doc
@@ -463,7 +492,38 @@ class TestPipelineCommand:
         assert self._run(dataset_dir, out, cfg_path) == 2
         assert not out.exists()
         # the config is at fault, not the 4 + 4 cases, too few for the 5 default folds
-        assert "annotations need" not in capsys.readouterr().err
+        assert "too few for" not in capsys.readouterr().err
+
+    # the seven fields PipelineConfig.to_json wrote before the SLIC, GLCM and
+    # posterior settings became fixed, at the values it wrote
+    REMOVED = {"compactness": 10.0, "slic_max_iters": 10, "slic_conv_eps": 0.25,
+               "glcm_levels": 32, "glcm_distance": 1, "glcm_angles": [0, 45, 90, 135],
+               "posterior_fraction": 0.5}
+
+    @pytest.mark.parametrize("field", list(REMOVED))
+    def test_removed_field_exit_2_before_extraction(
+        self, dataset_dir, tmp_path, monkeypatch, capsys, field
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("process_case called")
+
+        monkeypatch.setattr(pipeline, "process_case", never)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"version": 1, field: self.REMOVED[field]}))
+        out = tmp_path / "run"
+        assert self._run(dataset_dir, out, cfg_path) == 2
+        assert not out.exists()
+        assert f"error: unknown config fields ['{field}']" in capsys.readouterr().err
+
+    def test_older_default_document_names_every_removed_field(
+        self, dataset_dir, tmp_path, capsys
+    ):
+        doc = {**json.loads(PipelineConfig().to_json()), **self.REMOVED}
+        assert len(doc) == 17
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert self._run(dataset_dir, tmp_path / "run", cfg_path) == 2
+        assert f"error: unknown config fields {sorted(self.REMOVED)}" in capsys.readouterr().err
 
 
 class TestWorkerCount:
@@ -607,6 +667,8 @@ class TestConfig:
         ('{"version": 1, "svm_gamma": NaN}', "svm_gamma"),
         ('{"version": 1, "svm_c": NaN}', "svm_c"),
         ('{"version": 1, "svm_c": Infinity}', "svm_c"),
+        ('{"version": 1, "svm_gamma": -Infinity}', "svm_gamma"),
+        ('{"version": 1, "c_exponents": [NaN, 0, 1]}', "c_exponents"),
         ('{"version": 1, "svm_c": -1}', "svm_c"),
         ('{"version": 1, "svm_c": 0}', "svm_c"),
         ('{"version": 1, "grow_threshold": NaN}', "grow_threshold"),
@@ -618,6 +680,11 @@ class TestConfig:
     def test_bad_document_names_field(self, doc, match):
         with pytest.raises(ValueError, match=match):
             PipelineConfig.from_json(doc)
+
+    def test_fields_are_the_ones_a_run_sets(self):
+        assert list(json.loads(PipelineConfig().to_json())) == [
+            "version", "denoise_radius", "n_segments", "grow_threshold", "svm_c", "svm_gamma",
+            "folds", "seed", "c_exponents", "g_exponents"]
 
     def test_ints_accepted_for_floats(self):
         cfg = PipelineConfig.from_json(

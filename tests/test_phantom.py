@@ -79,6 +79,12 @@ class TestGenerate:
         with pytest.raises(ValueError):
             phantom.PhantomSpec(kind="cystic")
 
+    @pytest.mark.parametrize("field", ["speckle_sigma", "spike_amplitude"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])
+    def test_non_finite_or_negative_noise_rejected(self, field, value):
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            phantom.PhantomSpec(**{field: value})
+
 
 class TestDataset:
     def test_counts_and_order(self):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from sonocad import image, phantom, roi
-from sonocad.config import PipelineConfig
 from sonocad.slic import (
     _FOUR_CONNECTED,
     SlicParams,
@@ -197,7 +196,7 @@ class TestGrowMatchesOracle:
 
     @pytest.mark.parametrize("enforce", [True, False])
     def test_phantoms(self, enforce):
-        params = PipelineConfig().slic_params()
+        params = SlicParams()
         for _, case in phantom.generate_dataset(2, 2, seed=13, speckle_sigma=0.03):
             pre = image.preprocess(case.image)
             labeling = slic(pre, params, enforce=enforce)
@@ -376,7 +375,7 @@ class TestTraceMatchesOracle:
         assert all(reached.values()), reached
 
     def test_phantom_rois(self):
-        params = PipelineConfig().slic_params()
+        params = SlicParams()
         for _, case in phantom.generate_dataset(3, 3, seed=21, speckle_sigma=0.03):
             pre = image.preprocess(case.image)
             grown = roi.grow(

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from sonocad import image, phantom
-from sonocad.config import PipelineConfig
 from sonocad.image import to_lightness, validate_image
 from sonocad.slic import _components as scan_components
 from sonocad.slic import (
@@ -118,7 +117,7 @@ class TestSlic:
     def test_conv_eps_ends_clean_runs_early(self, speckle, stops_early):
         # A noiseless phantom's centers settle below conv_eps before max_iters;
         # speckle keeps them moving, so both settings run the whole budget.
-        params = PipelineConfig().slic_params()
+        params = SlicParams()
         _, case = phantom.generate_dataset(1, 1, seed=7, speckle_sigma=speckle)[0]
         pre = image.preprocess(case.image)
         default = slic(pre, params).labels
@@ -244,16 +243,15 @@ def _oracle_enforce_connectivity(labels: np.ndarray, min_size: int) -> np.ndarra
 class TestEnforceConnectivityMatchesOracle:
     @pytest.mark.parametrize("speckle", [0.0, 0.03, 0.06])
     def test_phantom_labels_bit_identical(self, speckle):
-        cfg = PipelineConfig()
         for _, case in phantom.generate_dataset(1, 1, seed=11, speckle_sigma=speckle):
             pre = image.preprocess(case.image)
-            raw = slic(pre, cfg.slic_params(), enforce=False)
+            raw = slic(pre, SlicParams(), enforce=False)
             min_size = round(raw.step) ** 2 // 4
             expected = _oracle_enforce_connectivity(raw.labels, min_size)
             got = _enforce_connectivity(raw.labels, min_size)
             assert got.dtype == expected.dtype
             assert np.array_equal(got, expected)
-            assert np.array_equal(slic(pre, cfg.slic_params()).labels, expected)
+            assert np.array_equal(slic(pre, SlicParams()).labels, expected)
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -410,7 +408,7 @@ class TestAssignmentMatchesOracle:
     @pytest.mark.parametrize("enforce", [False, True])
     @pytest.mark.parametrize("speckle", [0.0, 0.03, 0.06])
     def test_phantom_slic_bit_identical(self, speckle, enforce):
-        params = PipelineConfig().slic_params()
+        params = SlicParams()
         for _, case in phantom.generate_dataset(1, 1, seed=5, speckle_sigma=speckle):
             pre = image.preprocess(case.image)
             labels, step, offset = _oracle_slic(pre, params, enforce)
