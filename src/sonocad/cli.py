@@ -44,7 +44,8 @@ def _load_config(args) -> PipelineConfig:
 
 
 def cmd_preprocess(args) -> int:
-    out = pipeline.preprocess(pipeline.read_image(args.input), _load_config(args))
+    cfg = _load_config(args)
+    out = pipeline.preprocess(pipeline.read_image(args.input), cfg)
     pipeline.write_file(args.output, image.write_pgm(out))
     return EXIT_OK
 

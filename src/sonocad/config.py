@@ -7,8 +7,9 @@ import math
 from dataclasses import asdict, dataclass, fields, replace
 from typing import get_args, get_origin, get_type_hints
 
+from .image import MAX_DENOISE_RADIUS
 from .slic import SlicParams
-from .svm import KernelSpec, exponent_lattice
+from .svm import DEFAULT_EXPONENTS, KernelSpec, exponent_lattice
 
 CONFIG_VERSION = 1
 
@@ -18,8 +19,9 @@ class PipelineConfig:
     version: int = CONFIG_VERSION
     # preprocessing; denoise_radius 0 skips the median filter
     denoise_radius: int = 1
-    # superpixels; the other SLIC, GLCM and posterior settings are fixed at
-    # the defaults of SlicParams, GlcmSpec and features.POSTERIOR_FRACTION
+    # superpixels; the other SLIC, GLCM and posterior settings are constants:
+    # slic.COMPACTNESS, MAX_ITERS and CONV_EPS, features.GlcmSpec and
+    # features.POSTERIOR_FRACTION
     n_segments: int = 50
     # region growing; None = 0.15 x intensity range of the preprocessed image
     grow_threshold: float | None = None
@@ -28,8 +30,8 @@ class PipelineConfig:
     svm_gamma: float = 1.0
     folds: int = 5
     seed: int = 0
-    c_exponents: tuple[float, float, float] = (-8.0, 8.0, 0.4)
-    g_exponents: tuple[float, float, float] = (-8.0, 8.0, 0.4)
+    c_exponents: tuple[float, float, float] = DEFAULT_EXPONENTS
+    g_exponents: tuple[float, float, float] = DEFAULT_EXPONENTS
 
     def __post_init__(self):
         hints = get_type_hints(type(self))
@@ -43,10 +45,12 @@ class PipelineConfig:
         for triple in (self.c_exponents, self.g_exponents):
             exponent_lattice(*triple)
         for name, ok, rule in [
-            ("denoise_radius", self.denoise_radius >= 0, ">= 0 (0 skips the filter)"),
+            ("denoise_radius", 0 <= self.denoise_radius <= MAX_DENOISE_RADIUS,
+             f">= 0 (0 skips the filter) and <= {MAX_DENOISE_RADIUS}"),
             ("svm_c", self.svm_c > 0, "> 0"),
             ("grow_threshold", self.grow_threshold is None or self.grow_threshold >= 0, ">= 0"),
             ("folds", self.folds >= 2, ">= 2"),
+            ("seed", self.seed >= 0, ">= 0"),
         ]:
             if not ok:
                 raise ValueError(f"config field {name}: must be {rule}")

@@ -30,20 +30,12 @@ POSTERIOR_FRACTION = 0.5
 
 @dataclass(frozen=True)
 class GlcmSpec:
-    levels: int = 32
-    distance: int = 1
-    angles: tuple[int, ...] = (0, 45, 90, 135)
+    """Haralick et al.'s co-occurrence setting: 32 gray levels, pixel pairs at
+    distance 1 along each of the four angles. The values are constants."""
 
-    def __post_init__(self):
-        if self.levels < 2:
-            raise ValueError("levels must be >= 2")
-        if self.distance < 1:
-            raise ValueError("distance must be >= 1")
-        if not self.angles:
-            raise ValueError("need at least one angle")
-        bad = set(self.angles) - set(_ANGLE_OFFSETS)
-        if bad:
-            raise ValueError(f"unsupported angles {sorted(bad)}")
+    levels = 32
+    distance = 1
+    angles = (0, 45, 90, 135)
 
 
 @dataclass(frozen=True)
@@ -119,9 +111,8 @@ def quantize(img: np.ndarray, levels: int) -> np.ndarray:
 def glcm(img: np.ndarray, mask: np.ndarray, spec: GlcmSpec | None = None) -> np.ndarray:
     """Symmetric normalized co-occurrence matrix over the masked region.
 
-    Pairs are counted at displacement d along every requested angle,
-    both endpoints inside the mask, then symmetrized and normalized to
-    sum 1.
+    Pairs are counted at distance 1 along each of the spec's angles, both
+    endpoints inside the mask, then symmetrized and normalized to sum 1.
     """
     spec = spec or GlcmSpec()
     img = validate_image(img)
@@ -135,8 +126,6 @@ def glcm(img: np.ndarray, mask: np.ndarray, spec: GlcmSpec | None = None) -> np.
     counts = np.zeros((spec.levels, spec.levels), dtype=np.float64)
     for ang in spec.angles:
         dx, dy = _ANGLE_OFFSETS[ang]
-        dx *= spec.distance
-        dy *= spec.distance
         x0s, x1s = max(0, -dx), min(w, w - dx)
         y0s, y1s = max(0, -dy), min(h, h - dy)
         src_m = mask[y0s:y1s, x0s:x1s]

@@ -126,11 +126,18 @@ def histogram_equalize(img: np.ndarray) -> np.ndarray:
     return lut[img]
 
 
+# scipy's edge-clamped median filter allocates offset tables that grow with
+# the window: on a 160 x 160 image about 20 MB at radius 20 and 100 MB at 30,
+# and radius 80 runs out of a 3 GB address space. 20, a 41 x 41 window, is far
+# past any despeckling window the chain uses.
+MAX_DENOISE_RADIUS = 20
+
+
 def denoise(img: np.ndarray, radius: int = 1) -> np.ndarray:
     """Median filter over a (2*radius+1)^2 window with edge-clamped sampling."""
     img = validate_image(img)
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
+    if not 1 <= radius <= MAX_DENOISE_RADIUS:
+        raise ValueError(f"radius must be >= 1 and <= {MAX_DENOISE_RADIUS}")
     return ndimage.median_filter(img, size=2 * radius + 1, mode="nearest")
 
 

@@ -78,7 +78,7 @@ def _extract_case(rec: dict, base_dir: str, cfg: PipelineConfig):
         return None, (name, "read", str(exc))
     try:
         result = process_case(img, rec["seed_x"], rec["seed_y"], cfg, name=name)
-    except (ValueError, image.PgmParseError) as exc:
+    except ValueError as exc:
         return None, (name, "extract", str(exc))
     return (name, result.features, rec["label"]), None
 

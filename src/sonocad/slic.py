@@ -18,28 +18,25 @@ from .image import to_lightness, validate_image
 
 _FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
+# Achanta et al.'s setting: color normalizer m on the l in [0, 100] scale,
+# and the iteration budget of the k-means loop
+COMPACTNESS = 10.0
+MAX_ITERS = 10
+# Stop once the mean center displacement is at most this many pixels;
+# otherwise MAX_ITERS bounds the loop. It ends most noiseless phantoms
+# early, while speckled ones still move more and use the whole budget.
+CONV_EPS = 0.25
+
 
 @dataclass(frozen=True)
 class SlicParams:
-    """Tunables for the superpixel clustering."""
+    """The target cluster count of the superpixel clustering."""
 
     n_segments: int = 50
-    compactness: float = 10.0  # color normalizer, on the l in [0,100] scale
-    max_iters: int = 10
-    # Stop once the mean center displacement is at most this many pixels;
-    # otherwise max_iters bounds the loop. It ends most noiseless phantoms
-    # early, while speckled ones still move more and use the whole budget.
-    conv_eps: float = 0.25
 
     def __post_init__(self):
         if self.n_segments < 1:
             raise ValueError("n_segments must be >= 1")
-        if self.compactness <= 0:
-            raise ValueError("compactness must be > 0")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.conv_eps < 0:
-            raise ValueError("conv_eps must be >= 0")
 
 
 @dataclass
@@ -181,8 +178,8 @@ def slic(
     xs, ys = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
     max_offset = 0.0
 
-    for _ in range(params.max_iters):
-        labels, offset = _assign(l_plane, centers, s, params.compactness)
+    for _ in range(MAX_ITERS):
+        labels, offset = _assign(l_plane, centers, s, COMPACTNESS)
         max_offset = max(max_offset, offset)
 
         flat = labels.ravel()
@@ -194,7 +191,7 @@ def slic(
             new_centers[nonempty, j] = sums[nonempty] / counts[nonempty]
         disp = np.sqrt(((new_centers[nonempty, 1:] - centers[nonempty, 1:]) ** 2).sum(axis=1))
         centers = new_centers
-        if disp.size == 0 or float(disp.mean()) <= params.conv_eps:
+        if float(disp.mean()) <= CONV_EPS:
             break
 
     # enforcement renumbers densely itself, keeping the order of labels

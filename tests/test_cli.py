@@ -130,6 +130,18 @@ class TestPreprocess:
         assert np.array_equal(image.read_pgm(by_flag.read_bytes()),
                               image.denoise(equalized, 1))
 
+    def test_denoise_radius_past_bound_exit_2(self, dataset_dir, tmp_path, monkeypatch, capsys):
+        # the filter's memory grows with the window, so it is never called
+        def never(*args, **kwargs):
+            raise AssertionError("median_filter called")
+
+        monkeypatch.setattr(image.ndimage, "median_filter", never)
+        src = dataset_dir / _first_case(dataset_dir)["image"]
+        out = tmp_path / "pre.pgm"
+        assert main(["preprocess", str(src), str(out), "--denoise-radius", "1000000"]) == 2
+        assert not out.exists()
+        assert "error: config field denoise_radius" in capsys.readouterr().err
+
 
 class TestSegment:
     def test_mask_and_contour(self, dataset_dir, tmp_path):
@@ -455,32 +467,49 @@ class TestPipelineCommand:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "doc",
-        ["[1]", '{"version": 1, "n_segments": "50"}', '{"version": 1, "c_exponents": [0, 1]}',
-         '{"version": 1, "svm_tol": 0.001}', '{"version": 1, "folds": 1}',
-         '{"version": 1, "glcm_angles": [30]}', '{"version": 1, "c_exponents": [2, 0, 1]}',
-         '{"version": 1, "unsharp_amount": -0.5}', '{"version": 1, "unsharp_radius": 0}',
-         '{"version": 1, "posterior_fraction": 0}',
-         '{"version": 1, "c_exponents": [0, Infinity, 1]}', '{"version": 1, "compactness": NaN}',
-         '{"version": 1, "svm_gamma": NaN}', '{"version": 1, "svm_c": NaN}',
-         '{"version": 1, "svm_c": -1}', '{"version": 1, "svm_c": 0}',
-         '{"version": 1, "grow_threshold": Infinity}',
-         '{"version": 1, "c_exponents": [0, 2000, 1000]}',
-         '{"version": 1, "c_exponents": [0, 1' + "0" * 400 + ', 1]}',
-         '{"version": 1, "c_exponents": [-1100, 0, 1100]}',
-         '{"version": 1, "g_exponents": [0, 1, 1e-12]}', '{"version": 1, "kernel": "rbf"}',
-         '{"version": 1, "unsharp_amount": 0.0}', '{"version": 1, "unsharp_radius": 1}',
-         '{"version": 1, "g_exponents": [-1, NaN, 1]}', '{"version": 1, "svm_gamma": Infinity}'],
+        "doc, message",
+        [("[1]", "config must be a JSON object"),
+         ('{"version": 1, "n_segments": "50"}', "config field n_segments"),
+         ('{"version": 1, "c_exponents": [0, 1]}', "config field c_exponents"),
+         ('{"version": 1, "svm_tol": 0.001}', "unknown config fields ['svm_tol']"),
+         ('{"version": 1, "folds": 1}', "config field folds"),
+         ('{"version": 1, "glcm_angles": [30]}', "unknown config fields ['glcm_angles']"),
+         ('{"version": 1, "c_exponents": [2, 0, 1]}', "exponents (2, 0, 1)"),
+         ('{"version": 1, "unsharp_amount": -0.5}', "unknown config fields ['unsharp_amount']"),
+         ('{"version": 1, "unsharp_radius": 0}', "unknown config fields ['unsharp_radius']"),
+         ('{"version": 1, "posterior_fraction": 0}',
+          "unknown config fields ['posterior_fraction']"),
+         ('{"version": 1, "c_exponents": [0, Infinity, 1]}', "config field c_exponents"),
+         ('{"version": 1, "compactness": NaN}', "unknown config fields ['compactness']"),
+         ('{"version": 1, "svm_gamma": NaN}', "config field svm_gamma"),
+         ('{"version": 1, "svm_c": NaN}', "config field svm_c"),
+         ('{"version": 1, "svm_c": -1}', "config field svm_c"),
+         ('{"version": 1, "svm_c": 0}', "config field svm_c"),
+         ('{"version": 1, "grow_threshold": Infinity}', "config field grow_threshold"),
+         ('{"version": 1, "c_exponents": [0, 2000, 1000]}', "exponents (0, 2000, 1000)"),
+         ('{"version": 1, "c_exponents": [0, 1' + "0" * 400 + ', 1]}',
+          "config field c_exponents"),
+         ('{"version": 1, "c_exponents": [-1100, 0, 1100]}', "exponents (-1100, 0, 1100)"),
+         ('{"version": 1, "g_exponents": [0, 1, 1e-12]}', "exponents (0, 1, 1e-12)"),
+         ('{"version": 1, "kernel": "rbf"}', "unknown config fields ['kernel']"),
+         ('{"version": 1, "unsharp_amount": 0.0}', "unknown config fields ['unsharp_amount']"),
+         ('{"version": 1, "unsharp_radius": 1}', "unknown config fields ['unsharp_radius']"),
+         ('{"version": 1, "g_exponents": [-1, NaN, 1]}', "config field g_exponents"),
+         ('{"version": 1, "svm_gamma": Infinity}', "config field svm_gamma"),
+         ('{"version": 1, "seed": -1}', "config field seed: must be >= 0"),
+         ('{"version": 1, "denoise_radius": 300}', "config field denoise_radius"),
+         ('{"version": 1, "denoise_radius": 21}', "config field denoise_radius")],
         ids=["not-an-object", "string-for-int", "two-exponents", "removed-field", "one-fold",
              "unsupported-angle", "reversed-exponents", "negative-unsharp", "unsharp-radius-0",
              "zero-posterior-fraction", "infinite-exponent", "nan-compactness", "nan-gamma",
              "nan-c", "negative-c", "zero-c", "infinite-threshold", "overflowing-c",
              "int-no-float-holds", "underflowing-c", "10^12-points", "removed-kernel",
              "removed-unsharp-amount", "removed-unsharp-radius", "nan-exponent",
-             "infinite-gamma"],
+             "infinite-gamma", "negative-seed", "huge-denoise-radius",
+             "denoise-radius-past-bound"],
     )
     def test_bad_config_exit_2_before_extraction(
-        self, dataset_dir, tmp_path, monkeypatch, capsys, doc
+        self, dataset_dir, tmp_path, monkeypatch, capsys, doc, message
     ):
         def never(*args, **kwargs):
             raise AssertionError("process_case called")
@@ -491,8 +520,10 @@ class TestPipelineCommand:
         out = tmp_path / "run"
         assert self._run(dataset_dir, out, cfg_path) == 2
         assert not out.exists()
+        err = capsys.readouterr().err
+        assert message in err
         # the config is at fault, not the 4 + 4 cases, too few for the 5 default folds
-        assert "too few for" not in capsys.readouterr().err
+        assert "too few for" not in err
 
     # the seven fields PipelineConfig.to_json wrote before the SLIC, GLCM and
     # posterior settings became fixed, at the values it wrote
@@ -650,6 +681,8 @@ class TestConfig:
         ('{"version": 1, "glcm_levels": 1}', "levels"),
         ('{"version": 1, "glcm_angles": [30]}', "angles"),
         ('{"version": 1, "denoise_radius": -1}', "denoise_radius"),
+        ('{"version": 1, "denoise_radius": 21}', "denoise_radius"),
+        ('{"version": 1, "seed": -1}', "seed"),
         ('{"version": 1, "unsharp_amount": -0.5}', "unsharp_amount"),
         ('{"version": 1, "unsharp_radius": 0}', "unsharp_radius"),
         ('{"version": 1, "unsharp_radius": -2}', "unsharp_radius"),

@@ -141,21 +141,24 @@ def brute_force_glcm(img, mask, spec):
 class TestGlcm:
     def test_constant_roi_single_diagonal_entry(self):
         img = np.full((6, 6), 100, dtype=np.uint8)
-        p = feat.glcm(img, np.ones((6, 6), bool), feat.GlcmSpec(levels=8))
-        bin_idx = (100 * 8) // 256
+        p = feat.glcm(img, np.ones((6, 6), bool))
+        assert p.shape == (32, 32)
+        bin_idx = (100 * 32) // 256
         assert p[bin_idx, bin_idx] == 1.0
         assert p.sum() == pytest.approx(1.0)
 
     def test_checkerboard_two_levels(self):
-        # 2x2 checkerboard of bins {0,1}, d=1, horizontal only
+        # 2x2 checkerboard of bins {0, 31}: 0 and 90 degrees pair unlike
+        # bins twice each, 45 pairs the two 255s and 135 the two 0s
         img = np.array([[0, 255], [255, 0]], dtype=np.uint8)
-        p = feat.glcm(img, np.ones((2, 2), bool), feat.GlcmSpec(levels=2, angles=(0,)))
-        assert p[0, 1] == 0.5 and p[1, 0] == 0.5
-        assert p[0, 0] == 0.0 and p[1, 1] == 0.0
+        p = feat.glcm(img, np.ones((2, 2), bool))
+        assert p[0, 31] == p[31, 0] == pytest.approx(1 / 3)
+        assert p[0, 0] == p[31, 31] == pytest.approx(1 / 6)
+        assert np.count_nonzero(p) == 4
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(2)
-        spec = feat.GlcmSpec(levels=8)
+        spec = feat.GlcmSpec()
         for _ in range(10):
             img = rng.integers(0, 256, (12, 12), dtype=np.uint8)
             mask = rng.random((12, 12)) > 0.3
@@ -176,6 +179,15 @@ class TestGlcm:
         mask[2, 2] = True
         with pytest.raises(ValueError):
             feat.glcm(img, mask)
+
+    @pytest.mark.parametrize("setting, value", [("levels", 8), ("distance", 2), ("angles", (0,))],
+                             ids=["levels", "distance", "angles"])
+    def test_fixed_setting_is_not_a_parameter(self, setting, value):
+        # Haralick et al.'s setting is a constant of the spec
+        with pytest.raises(TypeError):
+            feat.GlcmSpec(**{setting: value})
+        spec = feat.GlcmSpec()
+        assert (spec.levels, spec.distance, spec.angles) == (32, 1, (0, 45, 90, 135))
 
 
 class TestGlcmScalars:

@@ -155,6 +155,20 @@ class TestDenoise:
                         vals.append(img[yy, xx])
                 assert out[y, x] == sorted(vals)[4], (x, y)
 
+    def test_radius_at_bound_accepted(self):
+        img = np.full((8, 8), 9, dtype=np.uint8)
+        assert np.array_equal(image.denoise(img, image.MAX_DENOISE_RADIUS), img)
+
+    @pytest.mark.parametrize("radius", [0, image.MAX_DENOISE_RADIUS + 1, 1_000_000])
+    def test_radius_out_of_range_rejected_before_filtering(self, monkeypatch, radius):
+        # the filter's memory grows with the window, so it is never called
+        def never(*args, **kwargs):
+            raise AssertionError("median_filter called")
+
+        monkeypatch.setattr(image.ndimage, "median_filter", never)
+        with pytest.raises(ValueError, match="radius"):
+            image.denoise(np.zeros((8, 8), dtype=np.uint8), radius)
+
 
 class TestLightness:
     def test_endpoints(self):

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +5,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from sonocad import image, phantom
+from sonocad import slic as slic_module
 from sonocad.image import to_lightness, validate_image
 from sonocad.slic import _components as scan_components
 from sonocad.slic import (
@@ -71,7 +70,7 @@ def _labeling_ok(labeling, img):
 class TestSlic:
     def test_constant_image_gives_grid_blocks(self):
         img = np.full((60, 60), 128, dtype=np.uint8)
-        labeling = slic(img, SlicParams(n_segments=9, compactness=10))
+        labeling = slic(img, SlicParams(n_segments=9))
         assert labeling.n_labels == 9
         sizes = np.bincount(labeling.labels.ravel())
         assert sizes.min() >= 300 and sizes.max() <= 500  # ~400 each
@@ -114,15 +113,23 @@ class TestSlic:
             slic(np.zeros((2, 2), dtype=np.uint8), SlicParams(n_segments=5))
 
     @pytest.mark.parametrize("speckle, stops_early", [(0.0, True), (0.03, False)])
-    def test_conv_eps_ends_clean_runs_early(self, speckle, stops_early):
-        # A noiseless phantom's centers settle below conv_eps before max_iters;
+    def test_conv_eps_ends_clean_runs_early(self, speckle, stops_early, monkeypatch):
+        # A noiseless phantom's centers settle below CONV_EPS before MAX_ITERS;
         # speckle keeps them moving, so both settings run the whole budget.
-        params = SlicParams()
         _, case = phantom.generate_dataset(1, 1, seed=7, speckle_sigma=speckle)[0]
         pre = image.preprocess(case.image)
-        default = slic(pre, params).labels
-        full = slic(pre, replace(params, conv_eps=0.0)).labels
+        default = slic(pre).labels
+        monkeypatch.setattr(slic_module, "CONV_EPS", 0.0)
+        full = slic(pre).labels
         assert np.array_equal(default, full) != stops_early
+
+    @pytest.mark.parametrize("setting, value",
+                             [("compactness", 10.0), ("max_iters", 10), ("conv_eps", 0.25)],
+                             ids=["compactness", "max_iters", "conv_eps"])
+    def test_fixed_setting_is_not_a_parameter(self, setting, value):
+        # Achanta et al.'s setting is a module constant, not a per-call value
+        with pytest.raises(TypeError):
+            SlicParams(**{setting: value})
 
 
 class TestComponents:
@@ -375,8 +382,8 @@ def _oracle_slic(img, params=None, enforce=True):
     xs, ys = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
     max_offset = 0.0
 
-    for _ in range(params.max_iters):
-        labels, off, _ = _oracle_assign(l_plane, centers, s, params.compactness)
+    for _ in range(10):  # Achanta et al.: ten iterations at compactness 10
+        labels, off, _ = _oracle_assign(l_plane, centers, s, 10.0)
         if off is not None:
             max_offset = max(max_offset, off)
 
@@ -395,7 +402,7 @@ def _oracle_slic(img, params=None, enforce=True):
             + (new_centers[nonempty, 2] - centers[nonempty, 2]) ** 2
         )
         centers = new_centers
-        if disp.size == 0 or float(disp.mean()) <= params.conv_eps:
+        if disp.size == 0 or float(disp.mean()) <= 0.25:
             break
 
     labels = _drop_empty(labels)
