@@ -157,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = stage("features", "feature vector of an image + mask (image preprocessed first)")
     p.add_argument("input"); p.add_argument("mask")
     p.add_argument("--out", required=True)
-    p.add_argument("--label", default="unknown")
+    p.add_argument("--label", default="unknown", choices=roi.LABELS)
     p.set_defaults(func=cmd_features)
 
     p = stage("train", "train an SVM on a feature CSV")

@@ -42,8 +42,11 @@ class PipelineConfig:
         # the stage parameter objects and helpers check their own ranges
         SlicParams(n_segments=self.n_segments)
         KernelSpec(gamma=self.svm_gamma)
-        for triple in (self.c_exponents, self.g_exponents):
-            exponent_lattice(*triple)
+        for name in ("c_exponents", "g_exponents"):
+            try:
+                exponent_lattice(*getattr(self, name))
+            except ValueError as exc:
+                raise ValueError(f"config field {name}: {exc}") from None
         for name, ok, rule in [
             ("denoise_radius", 0 <= self.denoise_radius <= MAX_DENOISE_RADIUS,
              f">= 0 (0 skips the filter) and <= {MAX_DENOISE_RADIUS}"),

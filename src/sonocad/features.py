@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .image import validate_image
-from .roi import _LABELS, RoiMask, centroid_radial_lengths
+from .roi import LABELS, RoiMask, centroid_radial_lengths
 
 FEATURE_NAMES = [
     "ar", "rd", "cp", "rg", "cr", "energy", "homogeneity", "correlation", "ac",
@@ -236,7 +236,7 @@ def read_feature_csv(text: str) -> list[tuple[str, FeatureVector, str]]:
         for rec in reader:
             if len(rec) != len(FEATURE_CSV_FIELDS):
                 raise ValueError(f"expected {len(FEATURE_CSV_FIELDS)} fields, got {len(rec)}")
-            if rec[10] not in _LABELS:
+            if rec[10] not in LABELS:
                 raise ValueError(f"bad label {rec[10]!r}")
             values = [float(v) for v in rec[1:10]]
             if not all(map(math.isfinite, values)):

@@ -175,7 +175,8 @@ def run_pipeline(annotations_path: str, cfg: PipelineConfig, out_dir: str) -> di
     _check_folds(labels, cfg)
     os.makedirs(out_dir, exist_ok=True)
     batch = extract_batch(rows, os.path.dirname(os.path.abspath(annotations_path)), cfg)
-    write_file(os.path.join(out_dir, "features.csv"), feat.write_feature_csv(batch.feature_rows))
+    table = feat.write_feature_csv(batch.feature_rows)
+    write_file(os.path.join(out_dir, "features.csv"), table)
     if batch.errors:
         with open(os.path.join(out_dir, "errors.csv"), "w") as fh:
             w = csv.writer(fh, lineterminator="\n")
@@ -187,7 +188,9 @@ def run_pipeline(annotations_path: str, cfg: PipelineConfig, out_dir: str) -> di
                                f"{lab} cases failed (see errors.csv), too few left for "
                                f"{cfg.folds} folds")
 
-    x, y, ids = rows_to_matrix(batch.feature_rows)
+    # fit and score the features as features.csv holds them (12 significant
+    # digits), so the stage subcommands rebuild every artifact from that file
+    x, y, ids = rows_to_matrix(feat.read_feature_csv(table))
     search = grid_search(x, y, ids, cfg)
     write_file(os.path.join(out_dir, "surface.csv"), search.surface_csv())
     tuned = cfg.override(svm_c=search.best_c, svm_gamma=search.best_gamma)

@@ -173,7 +173,7 @@ def boundary_to_text(boundary: list[tuple[int, int]]) -> str:
 
 
 ANNOTATION_FIELDS = ["image", "seed_x", "seed_y", "label"]
-_LABELS = {"benign", "malignant", "unknown"}
+LABELS = ("benign", "malignant", "unknown")
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
@@ -205,7 +205,7 @@ def read_annotations(text: str) -> list[dict]:
             where = f"annotation line {reader.line_num}"
             if None in rec or None in rec.values():
                 raise ValueError(f"{where}: expected {len(ANNOTATION_FIELDS)} fields")
-            if rec["label"] not in _LABELS:
+            if rec["label"] not in LABELS:
                 raise ValueError(f"{where}: bad label {rec['label']!r} for {rec['image']}")
             if rec["image"] in first_line:
                 raise ValueError(

@@ -7,8 +7,9 @@ exponent-lattice grid search over (C, gamma) and JSON model persistence.
 There is one SMO step loop, ``_smo_batch``, which runs the second-order
 working-set step on a stack of problems at once; ``smo_solve`` is its batch of
 one. The grid search and the CV report run one loop, ``cv_decisions``: one
-split, one normalizer per fold and one training Gram per (fold, gamma), then C
-as the outer loop with one batched solve of every (fold, gamma) problem per C.
+split, one min-max range per fold and one training Gram per (fold, gamma),
+then C as the outer loop with one batched solve of every (fold, gamma) problem
+per C.
 Every fit uses the same tolerance, and a fit that does not meet it within
 ``MAX_STEPS`` steps raises a RuntimeWarning.
 """
@@ -163,31 +164,21 @@ def kkt_violation(
     return float(v.max()) if len(v) else 0.0
 
 
-class MinMaxNormalizer:
-    """Per-feature min-max scaling to [0, 1]; constant columns map to 0 and
-    out-of-range values are clamped at transform time."""
+def _minmax(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The per-feature (min, max) of the rows of ``x``."""
+    if len(x) < 2:
+        raise ValueError("need at least 2 rows to fit normalization")
+    return x.min(axis=0), x.max(axis=0)
 
-    def __init__(self):
-        self.min_ = None
-        self.max_ = None
 
-    def fit(self, x: np.ndarray) -> "MinMaxNormalizer":
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if len(x) < 2:
-            raise ValueError("need at least 2 rows to fit normalization")
-        self.min_ = x.min(axis=0)
-        self.max_ = x.max(axis=0)
-        return self
-
-    def transform(self, x: np.ndarray) -> np.ndarray:
-        if self.min_ is None:
-            raise ValueError("normalizer is not fitted")
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        span = self.max_ - self.min_
-        out = np.zeros_like(x)
-        ok = span > 0
-        out[:, ok] = (x[:, ok] - self.min_[ok]) / span[ok]
-        return np.clip(out, 0.0, 1.0)
+def _normalize(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Min-max scaling of the rows of ``x`` to [0, 1]; constant columns map to
+    0 and out-of-range values are clamped."""
+    span = hi - lo
+    out = np.zeros_like(x)
+    ok = span > 0
+    out[:, ok] = (x[:, ok] - lo[ok]) / span[ok]
+    return np.clip(out, 0.0, 1.0)
 
 
 def _check_xy(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -204,8 +195,8 @@ def _check_xy(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class SmoSVC:
     """Binary SVM classifier (labels +1 / -1) in the fit/predict style.
 
-    Feature normalization stats are learned during ``fit`` and applied
-    automatically to anything passed to ``decision_function`` / ``predict``.
+    ``fit`` learns the per-feature (min, max), ``norm_``, and
+    ``decision_function`` / ``predict`` scale their input with it.
     Ties at a decision value of exactly 0 predict -1.
     """
 
@@ -220,15 +211,13 @@ class SmoSVC:
         self.support_vectors_ = None
         self.dual_coef_ = None  # alpha_i * y_i per stored vector
         self.intercept_ = 0.0
-        self.normalizer_ = None
+        self.norm_ = None  # (min, max) per feature; None when normalize is False
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "SmoSVC":
         x, y = _check_xy(x, y)
-        if self.normalize:
-            self.normalizer_ = MinMaxNormalizer().fit(x)
-            x = self.normalizer_.transform(x)
-        else:
-            self.normalizer_ = None
+        self.norm_ = _minmax(x) if self.normalize else None
+        if self.norm_ is not None:
+            x = _normalize(x, *self.norm_)
         alpha, b = smo_solve(kernel_matrix(self.kernel_spec, x, x), y, self.c)
         sv = alpha > _SV_EPS
         self.support_vectors_, self.dual_coef_, self.intercept_ = x[sv], (alpha * y)[sv], b
@@ -240,8 +229,8 @@ class SmoSVC:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[1] != self.support_vectors_.shape[1]:
             raise ValueError("dimension mismatch")
-        if self.normalizer_ is not None:
-            x = self.normalizer_.transform(x)
+        if self.norm_ is not None:
+            x = _normalize(x, *self.norm_)
         k = kernel_matrix(self.kernel_spec, x, self.support_vectors_)
         return k @ self.dual_coef_ + self.intercept_
 
@@ -302,8 +291,8 @@ def cv_decisions(
     for test in folds:
         train = np.ones(len(y), dtype=bool)
         train[test] = False
-        norm = MinMaxNormalizer().fit(x[train])
-        sets.append((norm.transform(x[train]), y[train], norm.transform(x[test])))
+        lo, hi = _minmax(x[train])
+        sets.append((_normalize(x[train], lo, hi), y[train], _normalize(x[test], lo, hi)))
     specs = [KernelSpec(gamma=gamma) for gamma in gammas]
     cells = [(f, j) for f in range(len(folds)) for j in range(len(gammas))]
     size = max(len(y_train) for _, y_train, _ in sets)
@@ -391,13 +380,13 @@ def model_to_json(clf: SmoSVC) -> str:
     """Fixed-field-order JSON persistence of a fitted model."""
     if clf.support_vectors_ is None:
         raise ValueError("model is not fitted")
-    norm = clf.normalizer_
+    norm = clf.norm_
     payload = {
         "version": 1,
         "kernel": {"kind": clf.kernel_spec.kind, "gamma": clf.kernel_spec.gamma},
         "c": clf.c,
-        "norm_min": None if norm is None else norm.min_.tolist(),
-        "norm_max": None if norm is None else norm.max_.tolist(),
+        "norm_min": None if norm is None else norm[0].tolist(),
+        "norm_max": None if norm is None else norm[1].tolist(),
         "support_vectors": clf.support_vectors_.tolist(),
         "alphas": clf.dual_coef_.tolist(),
         "bias": clf.intercept_,
@@ -422,10 +411,8 @@ def model_from_json(text: str) -> SmoSVC:
         clf.dual_coef_ = np.array(payload["alphas"], dtype=np.float64)
         clf.intercept_ = float(payload["bias"])
         if payload["norm_min"] is not None:
-            norm = MinMaxNormalizer()
-            norm.min_ = np.array(payload["norm_min"], dtype=np.float64)
-            norm.max_ = np.array(payload["norm_max"], dtype=np.float64)
-            clf.normalizer_ = norm
+            clf.norm_ = (np.array(payload["norm_min"], dtype=np.float64),
+                         np.array(payload["norm_max"], dtype=np.float64))
         else:
             clf.normalize = False
     except KeyError as exc:

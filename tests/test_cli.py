@@ -210,6 +210,18 @@ class TestFeaturesTrainEvaluate:
         assert rc == 2
         assert "mask has 2 8-connected regions, expected 1" in capsys.readouterr().err
 
+    def test_features_rejects_unknown_label(self, tmp_path, capsys):
+        # train and evaluate reject such a row, so features must not write it
+        _, case = phantom.generate_dataset(1, 1, seed=3)[0]
+        src, mask_path = tmp_path / "img.pgm", tmp_path / "m.pgm"
+        src.write_bytes(image.write_pgm(case.image))
+        mask_path.write_bytes(roi.mask_to_pgm(case.truth_mask))
+        out = tmp_path / "fv.csv"
+        rc = main(["features", str(src), str(mask_path), "--out", str(out), "--label", "tumour"])
+        assert rc == 1
+        assert not out.exists()
+        assert "invalid choice: 'tumour'" in capsys.readouterr().err
+
     def test_train_then_evaluate(self, dataset_dir, tmp_path):
         feats = self._features_csv(dataset_dir, tmp_path)
         model = tmp_path / "model.json"
@@ -282,6 +294,16 @@ class TestStagesMatchPipeline:
         assert main(["gridsearch", str(out / "features.csv"), "--config", cfg_path,
                      "--out", str(surface)]) == 0
         assert surface.read_bytes() == (out / "surface.csv").read_bytes()
+
+    def test_train_gives_pipeline_model(self, run):
+        # the run fits its model on the features as features.csv holds them
+        tmp, cfg_path, out = run
+        model = json.loads((out / "model.json").read_text())
+        got = tmp / "model.json"
+        assert main(["train", str(out / "features.csv"), "--config", cfg_path,
+                     "--c", repr(model["c"]), "--gamma", repr(model["kernel"]["gamma"]),
+                     "--out", str(got)]) == 0
+        assert got.read_bytes() == (out / "model.json").read_bytes()
 
     def test_evaluate_gives_pipeline_report(self, run):
         tmp, cfg_path, out = run
@@ -474,7 +496,8 @@ class TestPipelineCommand:
          ('{"version": 1, "svm_tol": 0.001}', "unknown config fields ['svm_tol']"),
          ('{"version": 1, "folds": 1}', "config field folds"),
          ('{"version": 1, "glcm_angles": [30]}', "unknown config fields ['glcm_angles']"),
-         ('{"version": 1, "c_exponents": [2, 0, 1]}', "exponents (2, 0, 1)"),
+         ('{"version": 1, "c_exponents": [2, 0, 1]}',
+          "config field c_exponents: exponents (2, 0, 1)"),
          ('{"version": 1, "unsharp_amount": -0.5}', "unknown config fields ['unsharp_amount']"),
          ('{"version": 1, "unsharp_radius": 0}', "unknown config fields ['unsharp_radius']"),
          ('{"version": 1, "posterior_fraction": 0}',
@@ -486,11 +509,14 @@ class TestPipelineCommand:
          ('{"version": 1, "svm_c": -1}', "config field svm_c"),
          ('{"version": 1, "svm_c": 0}', "config field svm_c"),
          ('{"version": 1, "grow_threshold": Infinity}', "config field grow_threshold"),
-         ('{"version": 1, "c_exponents": [0, 2000, 1000]}', "exponents (0, 2000, 1000)"),
+         ('{"version": 1, "c_exponents": [0, 2000, 1000]}',
+          "config field c_exponents: exponents (0, 2000, 1000)"),
          ('{"version": 1, "c_exponents": [0, 1' + "0" * 400 + ', 1]}',
           "config field c_exponents"),
-         ('{"version": 1, "c_exponents": [-1100, 0, 1100]}', "exponents (-1100, 0, 1100)"),
-         ('{"version": 1, "g_exponents": [0, 1, 1e-12]}', "exponents (0, 1, 1e-12)"),
+         ('{"version": 1, "c_exponents": [-1100, 0, 1100]}',
+          "config field c_exponents: exponents (-1100, 0, 1100)"),
+         ('{"version": 1, "g_exponents": [0, 1, 1e-12]}',
+          "config field g_exponents: exponents (0, 1, 1e-12)"),
          ('{"version": 1, "kernel": "rbf"}', "unknown config fields ['kernel']"),
          ('{"version": 1, "unsharp_amount": 0.0}', "unknown config fields ['unsharp_amount']"),
          ('{"version": 1, "unsharp_radius": 1}', "unknown config fields ['unsharp_radius']"),

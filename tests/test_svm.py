@@ -15,25 +15,25 @@ from sonocad.config import PipelineConfig
 
 class TestNormalizer:
     def test_two_point_column(self):
-        norm = svm.MinMaxNormalizer().fit(np.array([[2.0], [4.0]]))
-        out = norm.transform(np.array([[2.0], [4.0]]))
+        lo, hi = svm._minmax(np.array([[2.0], [4.0]]))
+        out = svm._normalize(np.array([[2.0], [4.0]]), lo, hi)
         assert out.ravel().tolist() == [0.0, 1.0]
 
     def test_constant_column_maps_to_zero(self):
-        norm = svm.MinMaxNormalizer().fit(np.array([[5.0, 1.0], [5.0, 2.0]]))
-        out = norm.transform(np.array([[5.0, 1.5]]))
+        lo, hi = svm._minmax(np.array([[5.0, 1.0], [5.0, 2.0]]))
+        out = svm._normalize(np.array([[5.0, 1.5]]), lo, hi)
         assert out[0, 0] == 0.0
 
     def test_fit_transform_spans_unit_interval(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(20, 4)) * [1, 10, 100, 1000]
-        out = svm.MinMaxNormalizer().fit(x).transform(x)
+        out = svm._normalize(x, *svm._minmax(x))
         assert np.allclose(out.min(axis=0), 0.0)
         assert np.allclose(out.max(axis=0), 1.0)
 
     def test_out_of_range_clamped(self):
-        norm = svm.MinMaxNormalizer().fit(np.array([[0.0], [1.0]]))
-        out = norm.transform(np.array([[-5.0], [7.0]]))
+        lo, hi = svm._minmax(np.array([[0.0], [1.0]]))
+        out = svm._normalize(np.array([[-5.0], [7.0]]), lo, hi)
         assert out.ravel().tolist() == [0.0, 1.0]
 
 
@@ -87,7 +87,7 @@ def _overlapping_problem(seed):
     rng = np.random.default_rng(seed)
     y = np.array([-1.0] * 48 + [1.0] * 72)
     x = rng.standard_normal((120, 9)) + 0.41 * y[:, None]
-    x = svm.MinMaxNormalizer().fit(x).transform(x)
+    x = svm._normalize(x, *svm._minmax(x))
     return svm.kernel_matrix(svm.KernelSpec("rbf", gamma=2.0**-4.8), x, x), y, 2.0**5.6
 
 
@@ -266,7 +266,7 @@ def _padded_stack(seed, sizes):
         y = rng.permutation([1.0, -1.0] * (n // 2) + [1.0] * (n % 2))
         x = rng.normal(size=(n, 3)) + 0.5 * y[:, None]
         x[1] = x[0]  # a pair of curvature a = 0
-        x = svm.MinMaxNormalizer().fit(x).transform(x)
+        x = svm._normalize(x, *svm._minmax(x))
         k_mat = svm.kernel_matrix(svm.KernelSpec("rbf", 2.0 ** rng.uniform(-2, 2)), x, x)
         grams[p, :n, :n], labels[p, :n] = k_mat, y
         problems.append((k_mat, y))
@@ -482,6 +482,17 @@ class TestPersistence:
         clf = svm.SmoSVC(c=4.0, gamma=0.8).fit(x, y)
         assert svm.model_to_json(clf) == svm.model_to_json(clf)
 
+    @pytest.mark.parametrize("normalize", [True, False], ids=["min-max", "null-norm"])
+    def test_round_trip_bytes_and_decisions(self, normalize):
+        x, y, ids = _toy_problem()
+        clf = svm.SmoSVC(c=4.0, gamma=0.8, normalize=normalize).fit(x, y)
+        text = svm.model_to_json(clf)
+        assert (json.loads(text)["norm_min"] is None) == (not normalize)
+        clone = svm.model_from_json(text)
+        assert svm.model_to_json(clone) == text
+        probe = np.random.default_rng(12).normal(size=(10, 2))
+        assert np.array_equal(clf.decision_function(probe), clone.decision_function(probe))
+
 
 # The cross-validation that ``cv_decisions`` replaced, kept verbatim as the
 # oracle: one normalizer, Gram matrix and SmoSVC per (C, gamma, fold).
@@ -610,8 +621,7 @@ class TestFoldLoopMatchesOracle:
             return wrapper
 
         monkeypatch.setattr(svm, "kfold_split", counted("split", svm.kfold_split))
-        monkeypatch.setattr(svm.MinMaxNormalizer, "fit",
-                            counted("normalize", svm.MinMaxNormalizer.fit))
+        monkeypatch.setattr(svm, "_minmax", counted("normalize", svm._minmax))
         monkeypatch.setattr(svm, "kernel_matrix",
                             counted("gram", svm.kernel_matrix, lambda spec, a, b: a is b))
         batches = _count_batches(monkeypatch)
