@@ -6,10 +6,12 @@ exponent-lattice grid search over (C, gamma) and JSON model persistence.
 
 There is one SMO step loop, ``_smo_batch``, which runs the second-order
 working-set step on a stack of problems at once; ``smo_solve`` is its batch of
-one. The grid search and the CV report run one loop, ``cv_decisions``: one
-split, one min-max range per fold and one training Gram per (fold, gamma),
-then C as the outer loop with one batched solve of every (fold, gamma) problem
-per C.
+one. It keeps y * alpha inside per-row bounds and -y * G, so that a step
+takes few numpy calls. The grid search and the CV report run one loop,
+``cv_decisions``: one split, one min-max range per fold and one training Gram
+per (fold, gamma). The Grams are cut into stacks of at most ``_STACK_BYTES``,
+and C is the inner loop of each stack, with one batched solve of the stack's
+problems per C; C is the outer loop only when one stack holds them all.
 Every fit uses the same tolerance, and a fit that does not meet it within
 ``MAX_STEPS`` steps raises a RuntimeWarning.
 """
@@ -73,58 +75,68 @@ def _smo_batch(grams: np.ndarray, y: np.ndarray, c: float, tol: float) -> np.nda
     with label 0: a padded row is in neither I_up nor I_low, so it never
     enters a working set. Returns the ``(B, n)`` alphas, 0 on padded rows.
 
-    Keeps the gradient G = Q alpha - 1 with Q = (y y') * K. Each step pairs i,
-    the maximal violator of -y G over I_up, with the j of I_low that promises
-    the largest decrease, b^2 / a, and moves both to the optimum along their
-    direction, inside the box. A problem leaves the batch once the gap m - M
-    between its largest violations is at most ``tol`` (Keerthi et al., Neural
-    Computation 2001), which bounds every KKT residual by ``tol``, and warns
-    (RuntimeWarning) if ``MAX_STEPS`` steps do not get there. Each problem
-    takes the same steps, with the same arithmetic, as it would alone.
+    With the gradient G = Q alpha - 1 and Q = (y y') * K, the state is
+    ``ya`` = y * alpha and ``v`` = -y * G. The box 0 <= alpha <= C becomes
+    ``lo <= ya <= hi``: [0, C] where y = +1 and [-C, 0] where y = -1, while a
+    padded row gets the empty [+inf, -inf]. So I_up is ``ya < hi`` and I_low
+    is ``ya > lo``. Each step pairs i, the maximal violator of v over I_up,
+    with the j of I_low that promises the largest decrease, b^2 / a, and
+    moves both to the optimum along their direction, inside the box: ``ya_i``
+    rises and ``ya_j`` falls by t, and ``v -= t * (K_i - K_j)``. As y = +-1,
+    this is the same arithmetic as updating alpha and G. A problem leaves the
+    batch once the gap m - M between its largest violations is at most
+    ``tol`` (Keerthi et al., Neural Computation 2001), which bounds every KKT
+    residual by ``tol``, and warns (RuntimeWarning) if ``MAX_STEPS`` steps do
+    not get there. Each problem takes the same steps, with the same
+    arithmetic, as it would alone.
     """
+    n = y.shape[1]
     out = np.zeros(y.shape)
-    rows = idx = np.arange(len(y))  # idx: the problem in each row of the state below
-    pos, neg = y > 0, y < 0
-    diag = np.diagonal(grams, axis1=1, axis2=2)
-    alpha = np.zeros(y.shape)
-    grad = -np.ones(y.shape)
+    flat = grams.reshape(-1, n)  # Gram rows, problem p's row r at p * n + r
+    idx = np.arange(len(y))  # the problem in each row of the state below
+    # flat offsets of each state row: in the (rows, n) state, and of its Gram in flat
+    base = gi = idx * n
+    diag = np.diagonal(grams, axis1=1, axis2=2).copy()
+    hi = np.where(y > 0, c, np.where(y < 0, 0.0, -np.inf))
+    lo = np.where(y > 0, 0.0, np.where(y < 0, -c, np.inf))
+    ya = np.zeros(y.shape)
+    v = y.astype(np.float64)  # -y G at alpha = 0
     for steps in range(MAX_STEPS + 1):
-        v = -y * grad
-        above, below = alpha > 0, alpha < c
-        # bitwise: np.where on booleans branches on every element
-        up = pos & below | neg & above
-        low = pos & above | neg & below
-        v_up = np.where(up, v, -np.inf)
+        v_up = np.where(ya < hi, v, -np.inf)
+        w = np.where(ya > lo, v, np.inf)  # v over I_low
         i = v_up.argmax(axis=1)
-        m = v_up[rows, i]
-        gap = m - np.where(low, v, np.inf).min(axis=1)
+        fi = base + i
+        m = v_up.take(fi)
+        gap = m - np.minimum.reduce(w, axis=1)
         done = gap <= tol
         if steps == MAX_STEPS:
             for g in gap[~done]:
                 warnings.warn(f"SMO gap {g:.3g} > tol {tol:g} after {steps} steps", RuntimeWarning)
             done[:] = True
         if done.any():
-            out[idx[done]] = alpha[done]
+            out[idx[done]] = np.abs(ya[done])  # |y alpha| = alpha, and never -0.0
             if done.all():
                 break
             go = ~done
-            idx, pos, neg, diag, alpha, grad, y, v, low, i, m = (
-                s[go] for s in (idx, pos, neg, diag, alpha, grad, y, v, low, i, m))
-            rows = np.arange(len(idx))
-        k_i = grams[idx, i]  # row gathers: grams[idx] would copy every matrix
-        b = m[:, None] - v
-        a = diag[rows, i][:, None] + diag - 2.0 * k_i
-        a[a <= 0] = _TAU
-        j = np.where(low & (b > 0), -b * b / a, np.inf).argmin(axis=1)
-        pos_i, pos_j = pos[rows, i], pos[rows, j]
-        alpha_i, alpha_j = alpha[rows, i], alpha[rows, j]
-        room_i = np.where(pos_i, c - alpha_i, alpha_i)
-        room_j = np.where(pos_j, alpha_j, c - alpha_j)
-        t = np.minimum(np.minimum(b[rows, j] / a[rows, j], room_i), room_j)
-        # a variable that hits its limit is set to it: a + (c - a) can round past c
-        alpha[rows, i] = np.where(t < room_i, alpha_i + y[rows, i] * t, np.where(pos_i, c, 0.0))
-        alpha[rows, j] = np.where(t < room_j, alpha_j - y[rows, j] * t, np.where(pos_j, 0.0, c))
-        grad += t[:, None] * y * (k_i - grams[idx, j])
+            idx, diag, hi, lo, ya, v, w, i, m = (
+                s[go] for s in (idx, diag, hi, lo, ya, v, w, i, m))
+            base, gi = np.arange(len(idx)) * n, idx * n
+            fi = base + i
+        k_i = flat.take(gi + i, axis=0)
+        b = m[:, None] - w  # -inf outside I_low
+        a = diag.take(fi)[:, None] + diag - 2.0 * k_i
+        np.putmask(a, a <= 0, _TAU)
+        # the j of I_low with v_j < m that maximizes b^2 / a
+        j = np.where(b > 0, b * b / a, -np.inf).argmax(axis=1)
+        fj = base + j
+        ya_i, ya_j = ya.take(fi), ya.take(fj)
+        hi_i, lo_j = hi.take(fi), lo.take(fj)
+        room_i, room_j = hi_i - ya_i, ya_j - lo_j
+        t = np.minimum(np.minimum(b.take(fj) / a.take(fj), room_i), room_j)
+        # a variable that hits its limit is set to it: ya + (hi - ya) can round past hi
+        ya.put(fi, np.where(t < room_i, ya_i + t, hi_i))
+        ya.put(fj, np.where(t < room_j, ya_j - t, lo_j))
+        v -= t[:, None] * (k_i - flat.take(gi + j, axis=0))
     return out
 
 
@@ -394,10 +406,24 @@ def model_to_json(clf: SmoSVC) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _field(payload: dict, key: str, ndim: int) -> np.ndarray:
+    """``payload[key]`` as a float array of ``ndim`` dimensions; ValueError
+    naming the field if it is not one (ragged rows, null, a string)."""
+    try:
+        arr = np.array(payload[key], dtype=np.float64)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.ndim != ndim:
+        what = "equal-length rows" if ndim == 2 else "numbers"
+        raise ValueError(f"{key} must be a list of {what}")
+    return arr
+
+
 def model_from_json(text: str) -> SmoSVC:
     """Inverse of ``model_to_json``. A document that is not such a model (not
-    an object, a missing field, an unknown kernel) raises ``ValueError``; keys
-    it does not use, such as an older file's ``coef0``, are ignored."""
+    an object, a missing field, an unknown kernel, ragged support vectors, an
+    alpha count or norm vector that does not fit them) raises ``ValueError``;
+    keys it does not use, such as an older file's ``coef0``, are ignored."""
     payload = json.loads(text)
     if not isinstance(payload, dict):
         raise ValueError("model must be a JSON object")
@@ -407,14 +433,18 @@ def model_from_json(text: str) -> SmoSVC:
         clf = SmoSVC(
             c=payload["c"], kernel=payload["kernel"]["kind"], gamma=payload["kernel"]["gamma"]
         )
-        clf.support_vectors_ = np.array(payload["support_vectors"], dtype=np.float64)
-        clf.dual_coef_ = np.array(payload["alphas"], dtype=np.float64)
+        sv = clf.support_vectors_ = _field(payload, "support_vectors", 2)
+        alphas = clf.dual_coef_ = _field(payload, "alphas", 1)
+        if len(alphas) != len(sv):
+            raise ValueError(f"alphas has {len(alphas)} entries for {len(sv)} support vectors")
         clf.intercept_ = float(payload["bias"])
-        if payload["norm_min"] is not None:
-            clf.norm_ = (np.array(payload["norm_min"], dtype=np.float64),
-                         np.array(payload["norm_max"], dtype=np.float64))
-        else:
+        if payload["norm_min"] is None and payload["norm_max"] is None:
             clf.normalize = False
+        else:
+            clf.norm_ = tuple(_field(payload, key, 1) for key in ("norm_min", "norm_max"))
+            for key, norm in zip(("norm_min", "norm_max"), clf.norm_):
+                if len(norm) != sv.shape[1]:
+                    raise ValueError(f"{key} has {len(norm)} values for {sv.shape[1]} features")
     except KeyError as exc:
         raise ValueError(f"model lacks field {exc}") from None
     except TypeError as exc:

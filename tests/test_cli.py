@@ -341,6 +341,19 @@ class TestStagesMatchPipeline:
                    "--out", str(tmp / "r.csv")])
         assert rc == 2
 
+    def test_model_it_cannot_use_is_parse_error(self, run, capsys):
+        # a null norm_max once loaded and made every decision one constant
+        tmp, _, out = run
+        model = json.loads((out / "model.json").read_text())
+        path = tmp / "null_norm_max.json"
+        path.write_text(json.dumps({**model, "norm_max": None}))
+        assert main(["evaluate", str(path), str(out / "features.csv"), "--folds", "2",
+                     "--out", str(tmp / "r.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "error: norm_max must be a list of numbers" in err
+        assert "Traceback" not in err
+        assert not (tmp / "r.csv").exists()
+
 
 class TestPhantomCommand:
     def test_generates_dataset(self, tmp_path):

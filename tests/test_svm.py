@@ -149,8 +149,9 @@ class TestSmo:
 
     def test_alpha_that_reaches_a_bound_is_set_to_it(self):
         # alpha + (C - alpha) can round past C; without the exact set, four of
-        # these 150 problems ended with an alpha of C + 8.9e-16 or more
-        for seed in range(150):
+        # these 150 problems ended with an alpha of C + 8.9e-16 or more. On
+        # the five later seeds it is i, the maximal violator, that rounds past
+        for seed in [*range(150), 1586, 1819, 1921, 1924, 2485]:
             rng = np.random.default_rng(seed)
             x = rng.normal(size=(40, 3))
             y = np.where(x[:, 0] + rng.normal(size=40) > 0, 1.0, -1.0)
@@ -273,6 +274,26 @@ def _padded_stack(seed, sizes):
     return grams, labels, problems
 
 
+def _window_stack(seed, sizes, gamma):
+    """Problems like the CV training folds of the benchmark's search: rows of
+    two 9-feature Gaussian classes at 62:88 whose means are 2.32 apart, with
+    their Gram matrices zero-padded to the largest and their labels padded
+    with 0."""
+    rng = np.random.default_rng(seed)
+    size = max(sizes)
+    grams, labels = np.zeros((len(sizes), size, size)), np.zeros((len(sizes), size))
+    problems = []
+    for p, n in enumerate(sizes):
+        n_neg = round(n * 62 / 150)
+        y = rng.permutation([-1.0] * n_neg + [1.0] * (n - n_neg))
+        x = rng.normal(size=(n, 9)) + y[:, None] * (2.3238 / 2 / 3)
+        x = svm._normalize(x, *svm._minmax(x))
+        k_mat = svm.kernel_matrix(svm.KernelSpec("rbf", gamma), x, x)
+        grams[p, :n, :n], labels[p, :n] = k_mat, y
+        problems.append((k_mat, y))
+    return grams, labels, problems
+
+
 class TestBatchMatchesOracle:
     @pytest.mark.parametrize("seed", range(4), ids=lambda seed: f"{seed}-rbf")
     def test_alphas_bit_identical(self, seed):
@@ -290,6 +311,20 @@ class TestBatchMatchesOracle:
             assert np.array_equal(alpha, want_alpha) and b == want_b
             at_box += int((want_alpha == c).any())
         assert len(set(sizes)) > 1 and at_box > 0
+
+    # the benchmark's window, C = 2^5.6 and gamma = 2^-4.8, and a larger C
+    # with a fifth or more of the alphas still at the box
+    @pytest.mark.parametrize("log2c", [5.6, 8.0], ids=["window", "box-heavy"])
+    def test_search_window_bit_identical(self, log2c):
+        sizes = [120, 119, 120, 118, 120, 119, 120, 120, 118, 120]
+        grams, labels, problems = _window_stack(3, sizes, 2.0**-4.8)
+        c = 2.0**log2c
+        got = svm._smo_batch(grams, labels, c, 1e-3)
+        for p, (k_mat, y) in enumerate(problems):
+            n = len(y)
+            assert np.array_equal(got[p, :n], _oracle_smo_solve(k_mat, y, c)[0])
+            assert not got[p, n:].any()
+            assert (got[p] == c).sum() > 20 and ((got[p] > 0) & (got[p] < c)).any()
 
     def test_only_capped_problems_warn(self, monkeypatch):
         monkeypatch.setattr(svm, "MAX_STEPS", 12)
@@ -458,8 +493,14 @@ class TestPersistence:
         (lambda m: {**m, "kernel": {"kind": "sigmoid", "gamma": 1.0}}, "unknown kernel"),
         (lambda m: {**m, "kernel": {"kind": "linear", "gamma": 1.0}}, "unknown kernel"),
         (lambda m: {**m, "kernel": 3}, "malformed"),
+        (lambda m: {**m, "norm_max": None}, "norm_max must be a list"),
+        (lambda m: {**m, "norm_min": m["norm_min"][:1]}, "norm_min has 1 values for 2"),
+        (lambda m: {**m, "support_vectors": [[0.5], *m["support_vectors"][1:]]},
+         "support_vectors must be a list of equal-length rows"),
+        (lambda m: {**m, "alphas": m["alphas"][1:]}, "alphas has"),
     ], ids=["array", "version-only", "no-alphas", "no-kind", "sigmoid", "linear",
-            "kernel-not-object"])
+            "kernel-not-object", "null-norm-max", "short-norm-min", "ragged-rows",
+            "alpha-count"])
     def test_rejects_malformed_model(self, mutate, match):
         x, y, ids = _toy_problem()
         model = json.loads(svm.model_to_json(svm.SmoSVC(c=4.0, gamma=0.8).fit(x, y)))
@@ -495,7 +536,9 @@ class TestPersistence:
 
 
 # The cross-validation that ``cv_decisions`` replaced, kept verbatim as the
-# oracle: one normalizer, Gram matrix and SmoSVC per (C, gamma, fold).
+# oracle: one normalizer, Gram matrix and SmoSVC per (C, gamma, fold). Its fits
+# go through ``SmoSVC.fit`` and so through ``_smo_batch`` itself: it checks the
+# fold loop, not the step loop, whose oracle is ``_oracle_smo_solve``.
 @dataclass
 class FoldResult:
     test_idx: np.ndarray
