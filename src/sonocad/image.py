@@ -6,6 +6,8 @@ operations clamp at the edges so output size always equals input size.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 from scipy import ndimage
 
@@ -19,37 +21,29 @@ class PgmParseError(ValueError):
 
 
 def validate_image(img: np.ndarray) -> np.ndarray:
-    """Check that ``img`` is a nonempty 2-D uint8 raster and return it."""
+    """``img`` as an array; ValueError unless it is a nonempty 2-D uint8
+    raster."""
     img = np.asarray(img)
     if img.ndim != 2:
         raise ValueError(f"expected a 2-D grayscale array, got shape {img.shape}")
     if img.size == 0:
         raise ValueError("zero-area image")
     if img.dtype != np.uint8:
-        if img.min() < 0 or img.max() > 255:
-            raise ValueError("intensities outside [0, 255]")
-        img = img.astype(np.uint8)
+        raise ValueError(f"expected uint8 intensities, got {img.dtype}")
     return img
 
 
+# whitespace and '#' comments to skip, then one whitespace-delimited token;
+# each skipped item takes at least one byte and the token may be empty, so the
+# match never backtracks
+_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)")
+
+
 def _read_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    # Skip whitespace and '#' comments, then read one whitespace-delimited token.
-    n = len(data)
-    while pos < n:
-        c = data[pos : pos + 1]
-        if c.isspace():
-            pos += 1
-        elif c == b"#":
-            while pos < n and data[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        else:
-            break
-    if pos >= n:
-        raise PgmParseError("unexpected end of header", pos)
-    start = pos
-    while pos < n and not data[pos : pos + 1].isspace():
-        pos += 1
-    return data[start:pos], pos
+    m = _TOKEN.match(data, pos)
+    if not m[1]:
+        raise PgmParseError("unexpected end of header", m.start(1))
+    return m[1], m.end()
 
 
 def _read_int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:

@@ -80,6 +80,8 @@ def roc(decisions, truth) -> RocCurve:
     """
     decisions = np.asarray(decisions, dtype=np.float64)
     truth = np.asarray(truth)
+    if len(decisions) != len(truth):
+        raise ValueError(f"{len(decisions)} decision values for {len(truth)} labels")
     n_pos = int(np.sum(truth == 1))
     n_neg = int(np.sum(truth == -1))
     if n_pos == 0 or n_neg == 0:

@@ -144,18 +144,14 @@ def train(x: np.ndarray, y: np.ndarray, cfg: PipelineConfig) -> svm.SmoSVC:
 def evaluate_cv(
     x: np.ndarray, y: np.ndarray, ids: list[str], cfg: PipelineConfig
 ) -> tuple[list[metrics.ConfusionCounts], metrics.RocCurve]:
-    """``score_folds`` of the config's (C, gamma) under k-fold CV."""
+    """The config's (C, gamma) under k-fold CV: per-fold confusion counts and
+    a ROC pooled over every row's held-out decision. This is the one producer
+    of ``report.csv`` and ``roc.csv``."""
     _check_folds(_class_names(y), cfg)
     folds, dec = svm.cv_decisions(
         x, y, ids, cfg.folds, cfg.seed, [cfg.svm_c], [cfg.svm_gamma]
     )
-    return score_folds(folds, dec[0, 0], y)
-
-
-def score_folds(
-    folds: list[np.ndarray], decisions: np.ndarray, y: np.ndarray
-) -> tuple[list[metrics.ConfusionCounts], metrics.RocCurve]:
-    """Per-fold confusion counts plus a pooled ROC over held-out decisions."""
+    decisions = dec[0, 0]
     pred = np.where(decisions > 0, 1, -1)
     return [metrics.accumulate(pred[f], y[f]) for f in folds], metrics.roc(decisions, y)
 
@@ -164,10 +160,10 @@ def run_pipeline(annotations_path: str, cfg: PipelineConfig, out_dir: str) -> di
     """Full run: extraction, grid search, final fit and artifacts.
 
     Writes features.csv, errors.csv (when any), surface.csv, model.json,
-    report.csv and roc.csv into ``out_dir``. The report scores the searched
-    cell from the search's own held-out decisions: one cross-validation, and
-    the report's accuracy is the surface's best. Raises ``CaseFailures`` when
-    failed cases leave a class with fewer cases than folds. Deterministic.
+    report.csv and roc.csv into ``out_dir``. The report is ``evaluate_cv`` at
+    the searched (C, gamma), the call ``sonocad evaluate`` makes. Raises
+    ``CaseFailures`` when failed cases leave a class with fewer cases than
+    folds. Deterministic.
     """
     with open(annotations_path) as fh:
         rows = roi.read_annotations(fh.read())
@@ -196,7 +192,7 @@ def run_pipeline(annotations_path: str, cfg: PipelineConfig, out_dir: str) -> di
     tuned = cfg.override(svm_c=search.best_c, svm_gamma=search.best_gamma)
     write_file(os.path.join(out_dir, "model.json"), svm.model_to_json(train(x, y, tuned)))
 
-    per_fold, curve = score_folds(search.folds, search.decisions, y)
+    per_fold, curve = evaluate_cv(x, y, ids, tuned)
     write_file(os.path.join(out_dir, "report.csv"), metrics.report_csv(per_fold))
     write_file(os.path.join(out_dir, "roc.csv"), metrics.roc_csv(curve))
     return {

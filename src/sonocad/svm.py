@@ -194,9 +194,12 @@ def _normalize(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def _check_xy(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(x, y) as floats; ValueError unless x is finite and y is +1 and -1."""
+    """(x, y) as floats; ValueError unless x has one finite row per label and
+    y is +1 and -1."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
+    if len(x) != len(y):
+        raise ValueError(f"{len(x)} feature rows for {len(y)} labels")
     if not np.isfinite(x).all():
         raise ValueError("non-finite features")
     if set(np.unique(y)) != {-1.0, 1.0}:
@@ -262,6 +265,8 @@ def kfold_split(ids: list[str], y: np.ndarray, k: int, seed: int) -> list[np.nda
     y = np.asarray(y)
     if k < 2:
         raise ValueError("k must be >= 2")
+    if len(ids) != len(y):
+        raise ValueError(f"{len(ids)} case ids for {len(y)} labels")
     if len(set(ids)) != len(ids):
         raise ValueError("case ids must be unique")
     rng = np.random.default_rng(seed)
@@ -356,8 +361,6 @@ class GridSearchResult:
     best_gamma: float
     best_accuracy: float
     surface: list[tuple[float, float, float]]  # (log2c, log2g, acc)
-    folds: list[np.ndarray]  # the test rows of each CV fold
-    decisions: np.ndarray  # each row's held-out decision under the best cell
 
     def surface_csv(self) -> str:
         lines = ["log2c,log2g,cv_accuracy"]
@@ -374,18 +377,18 @@ def grid_search(
     c_exponents: tuple[float, float, float] = DEFAULT_EXPONENTS,
     g_exponents: tuple[float, float, float] = DEFAULT_EXPONENTS,
 ) -> GridSearchResult:
-    """Exhaustive CV accuracy over the (2^a, 2^b) lattice; the result keeps
-    the best cell's held-out decisions. Ties go to the smaller C, then gamma.
+    """Exhaustive CV accuracy over the (2^a, 2^b) lattice and its best cell.
+    Ties go to the smaller C, then gamma.
     """
     c_axis = exponent_lattice(*c_exponents)
     g_axis = exponent_lattice(*g_exponents)
     cs, gammas = [float(2.0**a) for a in c_axis], [float(2.0**g) for g in g_axis]
-    folds, dec = cv_decisions(x, y, ids, k, seed, cs, gammas)
+    _, dec = cv_decisions(x, y, ids, k, seed, cs, gammas)
     acc = np.sum(np.where(dec > 0, 1, -1) == np.asarray(y), axis=2) / len(y)
     i, j = np.unravel_index(np.argmax(acc), acc.shape)  # the first maximum in C-major order
     surface = [(float(a), float(g), float(acc[m, n]))
                for m, a in enumerate(c_axis) for n, g in enumerate(g_axis)]
-    return GridSearchResult(cs[i], gammas[j], float(acc[i, j]), surface, folds, dec[i, j].copy())
+    return GridSearchResult(cs[i], gammas[j], float(acc[i, j]), surface)
 
 
 def model_to_json(clf: SmoSVC) -> str:

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from sonocad import image, phantom, pipeline, roi, svm
+from sonocad import image, phantom, pipeline, roi
 from sonocad.cli import main
 from sonocad.config import PipelineConfig
 
@@ -453,25 +453,25 @@ class TestPipelineCommand:
         assert f"{failed} of 5 benign cases failed" in capsys.readouterr().err
         assert sorted(os.listdir(out)) == ["errors.csv", "features.csv"]
 
-    def test_one_cross_validation_per_run(self, dataset_dir, tmp_path, monkeypatch):
-        # the report scores the searched cell from the search's own held-out
-        # decisions; a second cross-validation of that cell once made two calls
-        calls = []
-        cv_decisions = svm.cv_decisions
-        monkeypatch.setattr(svm, "cv_decisions",
-                            lambda *args: calls.append(args) or cv_decisions(*args))
-
-        def never(*args, **kwargs):
-            raise AssertionError("evaluate_cv called")
-
-        monkeypatch.setattr(pipeline, "evaluate_cv", never)
+    def test_report_is_evaluate_cv_at_searched_cell(self, dataset_dir, tmp_path, monkeypatch):
+        # one report path: the run scores its chosen cell with the call
+        # `sonocad evaluate` makes
+        searches, calls = [], []
+        grid_search, evaluate_cv = pipeline.grid_search, pipeline.evaluate_cv
+        monkeypatch.setattr(pipeline, "grid_search",
+                            lambda *args: searches.append(grid_search(*args)) or searches[-1])
+        monkeypatch.setattr(pipeline, "evaluate_cv",
+                            lambda *args: calls.append(args) or evaluate_cv(*args))
         cfg = PipelineConfig().override(
             c_exponents=(0.0, 1.0, 1.0), g_exponents=(0.0, 1.0, 1.0), folds=2
         )
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(cfg.to_json())
         assert self._run(dataset_dir, tmp_path / "run", cfg_path) == 0
-        assert len(calls) == 1
+        assert len(searches) == 1 and len(calls) == 1
+        tuned = calls[0][3]
+        assert (tuned.svm_c, tuned.svm_gamma) == (searches[0].best_c, searches[0].best_gamma)
+        assert tuned == cfg.override(svm_c=tuned.svm_c, svm_gamma=tuned.svm_gamma)
 
     @pytest.mark.parametrize(
         "rows, message",

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,6 +49,22 @@ class TestPgm:
         img = image.read_pgm(b"P5\n# a comment\n1 1\n255\n\x2a")
         assert img[0, 0] == 42
 
+    @pytest.mark.parametrize(
+        "data, message, offset",
+        [(b"P5\n2 1\n# maxval follows", "unexpected end of header", 23),
+         (b"P5\n2 x1 255\n\x00\x00", "invalid height b'x1'", 5),
+         (b"P5 12#c 1 255 " + bytes(12), "invalid width b'12#c'", 3),
+         (b"P5 2 1 255#c\n\x00\x00", "invalid maxval b'255#c'", 7)],
+        ids=["comment-at-end-of-header", "invalid-token", "hash-inside-width",
+             "hash-inside-maxval"],
+    )
+    def test_header_error_offsets(self, data, message, offset):
+        # a '#' starts a comment only between tokens; inside one it is a byte
+        with pytest.raises(image.PgmParseError) as exc:
+            image.read_pgm(data)
+        assert str(exc.value) == f"{message} (byte offset {offset})"
+        assert exc.value.offset == offset
+
     def test_full_size_all_zero(self):
         # 580x775 frame: header declares the size, payload is 449500 bytes
         img = np.zeros((775, 580), dtype=np.uint8)
@@ -89,6 +107,21 @@ class TestPgm:
         except ValueError:  # PgmParseError is a ValueError
             return
         assert img.dtype == np.uint8 and img.ndim == 2 and img.size > 0
+
+
+class TestValidate:
+    @pytest.mark.parametrize(
+        "img, message",
+        [(np.array([[127.9]]), "expected uint8 intensities, got float64"),
+         (np.array([[3]], dtype=np.int64), "expected uint8 intensities, got int64"),
+         (np.zeros((2, 2, 3), dtype=np.uint8), "expected a 2-D grayscale array"),
+         (np.zeros((0, 3), dtype=np.uint8), "zero-area image")],
+        ids=["float", "int64", "3-d", "empty"],
+    )
+    def test_rejected_with_its_rule(self, img, message):
+        # a float or wider int is not cast: 127.9 would silently read as 127
+        with pytest.raises(ValueError, match=re.escape(message)):
+            image.validate_image(img)
 
 
 class TestEqualize:

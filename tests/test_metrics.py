@@ -138,6 +138,11 @@ class TestRoc:
         with pytest.raises(ValueError, match="NaN"):
             metrics.roc([0.5, float("nan"), -0.5], [1, 1, -1])
 
+    def test_length_mismatch_rejected(self):
+        # unchecked, this once gave AUC 1/3 on a curve ending at (1/3, 1)
+        with pytest.raises(ValueError, match="3 decision values for 5 labels"):
+            metrics.roc([0.5, -0.2, 0.1], [1, -1, 1, -1, -1])
+
     def test_tie_blocks_give_one_point_each(self):
         curve = metrics.roc([2.0, 1.0, 1.0, 1.0, -0.0, 0.0], [1, 1, -1, 1, -1, -1])
         assert curve.points == [(0.0, 0.0), (0.0, 1 / 3), (1 / 3, 1.0), (1.0, 1.0)]

@@ -174,6 +174,11 @@ class TestSmo:
         with pytest.raises(ValueError):
             svm.SmoSVC().fit(x, np.array([1, -1]))
 
+    def test_rows_and_labels_of_different_lengths_rejected(self):
+        x, y, _ = _toy_problem()
+        with pytest.raises(ValueError, match="22 feature rows for 24 labels"):
+            svm.SmoSVC().fit(x[:-2], y)
+
     def test_decision_continuity(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(20, 3))
@@ -373,6 +378,15 @@ class TestKfold:
         y = np.array([1, 1, 1, -1, -1, -1, -1, -1])
         with pytest.raises(ValueError):
             svm.kfold_split(self._ids(8), y, 4, seed=0)
+
+    def test_ids_and_labels_of_different_lengths_rejected(self):
+        # unchecked, cv_decisions left the last rows' decisions uninitialised
+        # and grid_search counted them
+        x, y, ids = _toy_problem()
+        with pytest.raises(ValueError, match="22 case ids for 24 labels"):
+            svm.kfold_split(ids[:-2], y, 3, seed=0)
+        with pytest.raises(ValueError, match="22 case ids for 24 labels"):
+            svm.cv_decisions(x, y, ids[:-2], 3, 0, [1.0], [0.5])
 
     def test_row_order_invariant_by_id(self):
         rng = np.random.default_rng(8)
@@ -576,13 +590,9 @@ def _oracle_grid_search(x, y, ids, k, seed, c_exponents, g_exponents):
             acc = correct / len(y)
             surface.append((float(a), float(g), acc))
             if best is None or acc > best[0]:
-                best = (acc, float(2.0**a), float(2.0**g), folds)
-    decisions = np.empty(len(y))
-    for f in best[3]:
-        decisions[f.test_idx] = f.decisions
+                best = (acc, float(2.0**a), float(2.0**g))
     return svm.GridSearchResult(
-        best_c=best[1], best_gamma=best[2], best_accuracy=best[0], surface=surface,
-        folds=[f.test_idx for f in best[3]], decisions=decisions,
+        best_c=best[1], best_gamma=best[2], best_accuracy=best[0], surface=surface
     )
 
 
@@ -635,10 +645,6 @@ class TestFoldLoopMatchesOracle:
         assert got.surface == want.surface
         assert (got.best_c, got.best_gamma, got.best_accuracy) == (
             want.best_c, want.best_gamma, want.best_accuracy)
-        # the search keeps its folds and the best cell's held-out decisions
-        assert len(got.folds) == len(want.folds)
-        assert all(np.array_equal(a, b) for a, b in zip(got.folds, want.folds))
-        assert np.array_equal(got.decisions, want.decisions)
 
         # the held-out decisions themselves are bit-identical
         c, gamma = got.best_c, got.best_gamma
