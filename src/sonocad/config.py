@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, fields, replace
 from typing import get_args, get_origin, get_type_hints
 
 from .image import MAX_DENOISE_RADIUS
 from .slic import SlicParams
-from .svm import DEFAULT_EXPONENTS, KernelSpec, exponent_lattice
+from .svm import DEFAULT_EXPONENTS, KernelSpec, exponent_lattice, finite_number
 
 CONFIG_VERSION = 1
 
@@ -40,11 +39,12 @@ class PipelineConfig:
             if not _conforms(value, hints[f.name]):
                 raise ValueError(f"config field {f.name}: {value!r} is not {f.type}")
         # the stage parameter objects and helpers check their own ranges
-        SlicParams(n_segments=self.n_segments)
-        KernelSpec(gamma=self.svm_gamma)
-        for name in ("c_exponents", "g_exponents"):
+        for name, check in [("n_segments", SlicParams),
+                            ("svm_gamma", lambda g: KernelSpec(gamma=g)),
+                            ("c_exponents", lambda e: exponent_lattice(*e)),
+                            ("g_exponents", lambda e: exponent_lattice(*e))]:
             try:
-                exponent_lattice(*getattr(self, name))
+                check(getattr(self, name))
             except ValueError as exc:
                 raise ValueError(f"config field {name}: {exc}") from None
         for name, ok, rule in [
@@ -91,8 +91,5 @@ def _conforms(value, hint) -> bool:
     if isinstance(value, bool) or hint is type(None):
         return value is None
     if hint is float:
-        try:
-            return isinstance(value, (int, float)) and math.isfinite(value)
-        except OverflowError:  # an int that no float holds
-            return False
+        return finite_number(value)
     return isinstance(value, hint)

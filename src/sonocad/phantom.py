@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .image import write_pgm
-from .roi import mask_to_pgm, write_annotations
+from .roi import CLASSES, mask_to_pgm, write_annotations
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class PhantomSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("benign", "malignant"):
+        if self.kind not in CLASSES:
             raise ValueError(f"unknown class {self.kind!r}")
         if self.posterior_mode not in ("enhancement", "shadow"):
             raise ValueError(f"unknown posterior mode {self.posterior_mode!r}")
@@ -68,7 +68,7 @@ class PhantomCase:
     truth_mask: np.ndarray  # bool, noiseless geometry
     seed_x: int
     seed_y: int
-    label: int  # +1 malignant, -1 benign
+    label: int  # roi.CLASSES[kind]: +1 malignant, -1 benign
 
 
 def generate(spec: PhantomSpec) -> PhantomCase:
@@ -120,13 +120,8 @@ def generate(spec: PhantomSpec) -> PhantomCase:
     if not mask[sy, sx]:  # centroid can fall just off-mask for odd stars
         j = np.argmin((mx - sx) ** 2 + (my - sy) ** 2)
         sx, sy = int(mx[j]), int(my[j])
-    return PhantomCase(
-        image=img,
-        truth_mask=mask,
-        seed_x=sx,
-        seed_y=sy,
-        label=1 if spec.kind == "malignant" else -1,
-    )
+    return PhantomCase(image=img, truth_mask=mask, seed_x=sx, seed_y=sy,
+                       label=CLASSES[spec.kind])
 
 
 def _jitter(base: PhantomSpec, rng: np.random.Generator, case_seed: int) -> PhantomSpec:

@@ -105,32 +105,27 @@ def extract_batch(rows: list[dict], base_dir: str, cfg: PipelineConfig) -> Batch
 def rows_to_matrix(
     rows: list[tuple[str, feat.FeatureVector, str]]
 ) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Feature CSV rows to (X, y, ids); rows labeled 'unknown' are dropped."""
-    labeled = [(n, fv, lab) for n, fv, lab in rows if lab != "unknown"]
+    """Feature CSV rows to (X, y, ids), y from ``roi.CLASSES``; 'unknown' rows are dropped."""
+    labeled = [(n, fv.to_array(), roi.CLASSES[lab]) for n, fv, lab in rows if lab in roi.CLASSES]
     if not labeled:
         raise ValueError("no labeled cases")
-    x = np.stack([fv.to_array() for _, fv, _ in labeled])
-    y = np.array([1 if lab == "malignant" else -1 for _, _, lab in labeled])
-    ids = [n for n, _, _ in labeled]
-    return x, y, ids
+    ids, vectors, y = zip(*labeled)
+    return np.stack(vectors), np.array(y), list(ids)
 
 
-def _check_folds(labels: list[str], cfg: PipelineConfig):
+def _check_folds(y: np.ndarray | list[int], cfg: PipelineConfig):
     """ValueError naming the class when a class has fewer rows than folds;
-    ``labels`` are class names, and 'unknown' counts for neither class."""
-    for name in ("benign", "malignant"):
-        if labels.count(name) < cfg.folds:
-            raise ValueError(f"{labels.count(name)} {name} rows, too few for {cfg.folds} folds")
-
-
-def _class_names(y: np.ndarray) -> list[str]:
-    return ["malignant" if v == 1 else "benign" for v in y.tolist()]
+    ``y`` holds ``roi.CLASSES`` labels, and any other value counts for neither."""
+    for name, label in roi.CLASSES.items():
+        count = int(np.count_nonzero(np.asarray(y) == label))
+        if count < cfg.folds:
+            raise ValueError(f"{count} {name} rows, too few for {cfg.folds} folds")
 
 
 def grid_search(
     x: np.ndarray, y: np.ndarray, ids: list[str], cfg: PipelineConfig
 ) -> svm.GridSearchResult:
-    _check_folds(_class_names(y), cfg)
+    _check_folds(y, cfg)
     return svm.grid_search(
         x, y, ids, k=cfg.folds, seed=cfg.seed,
         c_exponents=cfg.c_exponents, g_exponents=cfg.g_exponents,
@@ -147,7 +142,7 @@ def evaluate_cv(
     """The config's (C, gamma) under k-fold CV: per-fold confusion counts and
     a ROC pooled over every row's held-out decision. This is the one producer
     of ``report.csv`` and ``roc.csv``."""
-    _check_folds(_class_names(y), cfg)
+    _check_folds(y, cfg)
     folds, dec = svm.cv_decisions(
         x, y, ids, cfg.folds, cfg.seed, [cfg.svm_c], [cfg.svm_gamma]
     )
@@ -168,7 +163,7 @@ def run_pipeline(annotations_path: str, cfg: PipelineConfig, out_dir: str) -> di
     with open(annotations_path) as fh:
         rows = roi.read_annotations(fh.read())
     labels = [rec["label"] for rec in rows]
-    _check_folds(labels, cfg)
+    _check_folds([roi.CLASSES.get(lab, 0) for lab in labels], cfg)
     os.makedirs(out_dir, exist_ok=True)
     batch = extract_batch(rows, os.path.dirname(os.path.abspath(annotations_path)), cfg)
     table = feat.write_feature_csv(batch.feature_rows)
@@ -178,7 +173,7 @@ def run_pipeline(annotations_path: str, cfg: PipelineConfig, out_dir: str) -> di
             w = csv.writer(fh, lineterminator="\n")
             w.writerows([("case", "stage", "message"), *batch.errors])
     kept = [lab for _, _, lab in batch.feature_rows]
-    for lab in ("benign", "malignant"):
+    for lab in roi.CLASSES:
         if kept.count(lab) < cfg.folds:
             raise CaseFailures(f"{labels.count(lab) - kept.count(lab)} of {labels.count(lab)} "
                                f"{lab} cases failed (see errors.csv), too few left for "

@@ -173,7 +173,8 @@ def boundary_to_text(boundary: list[tuple[int, int]]) -> str:
 
 
 ANNOTATION_FIELDS = ["image", "seed_x", "seed_y", "label"]
-LABELS = ("benign", "malignant", "unknown")
+CLASSES = {"benign": -1, "malignant": 1}  # class name -> SVM label, +1 positive
+LABELS = (*CLASSES, "unknown")  # an annotation's label: a class, or unknown
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 

@@ -41,8 +41,17 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind != "rbf":
             raise ValueError(f"unknown kernel {self.kind!r}")
-        if self.gamma <= 0:
-            raise ValueError("rbf gamma must be > 0")
+        if not (finite_number(self.gamma) and self.gamma > 0):
+            raise ValueError(f"rbf gamma must be a finite number > 0, not {self.gamma!r}")
+
+
+def finite_number(value) -> bool:
+    """Whether ``value`` is a finite int or float (not a bool) that a float holds."""
+    try:
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an int that no float holds
+        return False
 
 
 def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -218,8 +227,8 @@ class SmoSVC:
     def __init__(
         self, c: float = 1.0, kernel: str = "rbf", gamma: float = 1.0, normalize: bool = True
     ):
-        if c <= 0:
-            raise ValueError("c must be > 0")
+        if not (finite_number(c) and c > 0):
+            raise ValueError(f"c must be a finite number > 0, not {c!r}")
         self.c = c
         self.kernel_spec = KernelSpec(kind=kernel, gamma=gamma)
         self.normalize = normalize
@@ -392,16 +401,17 @@ def grid_search(
 
 
 def model_to_json(clf: SmoSVC) -> str:
-    """Fixed-field-order JSON persistence of a fitted model."""
+    """Fixed-field-order JSON persistence of a fitted, min-max normalized model."""
     if clf.support_vectors_ is None:
         raise ValueError("model is not fitted")
-    norm = clf.norm_
+    if clf.norm_ is None:
+        raise ValueError("a model fitted without normalization cannot be saved")
     payload = {
         "version": 1,
         "kernel": {"kind": clf.kernel_spec.kind, "gamma": clf.kernel_spec.gamma},
         "c": clf.c,
-        "norm_min": None if norm is None else norm[0].tolist(),
-        "norm_max": None if norm is None else norm[1].tolist(),
+        "norm_min": clf.norm_[0].tolist(),
+        "norm_max": clf.norm_[1].tolist(),
         "support_vectors": clf.support_vectors_.tolist(),
         "alphas": clf.dual_coef_.tolist(),
         "bias": clf.intercept_,
@@ -411,43 +421,44 @@ def model_to_json(clf: SmoSVC) -> str:
 
 def _field(payload: dict, key: str, ndim: int) -> np.ndarray:
     """``payload[key]`` as a float array of ``ndim`` dimensions; ValueError
-    naming the field if it is not one (ragged rows, null, a string)."""
+    naming the field if it is not one (ragged rows, null, a string, a bool) or
+    if it holds NaN or an infinity."""
     try:
         arr = np.array(payload[key], dtype=np.float64)
-    except (TypeError, ValueError):
-        arr = None
-    if arr is None or arr.ndim != ndim:
-        what = "equal-length rows" if ndim == 2 else "numbers"
-        raise ValueError(f"{key} must be a list of {what}")
+        # np.float64 also takes a bool, a numeric string and (as NaN) a null
+        typed = all(type(v) in (int, float) for v in np.array(payload[key], dtype=object).flat)
+    except (TypeError, ValueError, OverflowError):  # ragged rows, an int that no float holds
+        arr, typed = None, False
+    if not typed or arr.ndim != ndim:
+        raise ValueError(f"{key} must be " + (
+            "a number", "a list of numbers", "a list of equal-length rows")[ndim])
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{key} holds a non-finite number")
     return arr
 
 
 def model_from_json(text: str) -> SmoSVC:
     """Inverse of ``model_to_json``. A document that is not such a model (not
-    an object, a missing field, an unknown kernel, ragged support vectors, an
-    alpha count or norm vector that does not fit them) raises ``ValueError``;
-    keys it does not use, such as an older file's ``coef0``, are ignored."""
+    an object, a missing field, an unknown kernel, a bool or non-finite number,
+    ragged support vectors, an alpha count or norm vector that does not fit
+    them) raises ``ValueError``; keys it does not use are ignored."""
     payload = json.loads(text)
     if not isinstance(payload, dict):
         raise ValueError("model must be a JSON object")
     if payload.get("version") != 1:
         raise ValueError(f"unsupported model version {payload.get('version')!r}")
     try:
-        clf = SmoSVC(
-            c=payload["c"], kernel=payload["kernel"]["kind"], gamma=payload["kernel"]["gamma"]
-        )
+        kernel = payload["kernel"]
+        clf = SmoSVC(c=payload["c"], kernel=kernel["kind"], gamma=kernel["gamma"])
         sv = clf.support_vectors_ = _field(payload, "support_vectors", 2)
         alphas = clf.dual_coef_ = _field(payload, "alphas", 1)
         if len(alphas) != len(sv):
             raise ValueError(f"alphas has {len(alphas)} entries for {len(sv)} support vectors")
-        clf.intercept_ = float(payload["bias"])
-        if payload["norm_min"] is None and payload["norm_max"] is None:
-            clf.normalize = False
-        else:
-            clf.norm_ = tuple(_field(payload, key, 1) for key in ("norm_min", "norm_max"))
-            for key, norm in zip(("norm_min", "norm_max"), clf.norm_):
-                if len(norm) != sv.shape[1]:
-                    raise ValueError(f"{key} has {len(norm)} values for {sv.shape[1]} features")
+        clf.intercept_ = float(_field(payload, "bias", 0))
+        clf.norm_ = tuple(_field(payload, key, 1) for key in ("norm_min", "norm_max"))
+        for key, norm in zip(("norm_min", "norm_max"), clf.norm_):
+            if len(norm) != sv.shape[1]:
+                raise ValueError(f"{key} has {len(norm)} values for {sv.shape[1]} features")
     except KeyError as exc:
         raise ValueError(f"model lacks field {exc}") from None
     except TypeError as exc:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -354,6 +355,40 @@ class TestStagesMatchPipeline:
         assert "Traceback" not in err
         assert not (tmp / "r.csv").exists()
 
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda m: {**m, "bias": math.nan}, "bias holds a non-finite number"),
+        (lambda m: {**m, "support_vectors": [[math.inf, *m["support_vectors"][0][1:]],
+                                             *m["support_vectors"][1:]]},
+         "support_vectors holds a non-finite number"),
+        (lambda m: {**m, "kernel": {**m["kernel"], "gamma": math.nan}},
+         "rbf gamma must be a finite number > 0, not nan"),
+        (lambda m: {**m, "c": True}, "c must be a finite number > 0, not True"),
+    ], ids=["nan-bias", "infinite-support-vector", "nan-gamma", "bool-c"])
+    def test_model_number_not_finite_is_parse_error(self, run, capsys, mutate, message):
+        # NaN and Infinity once loaded and gave NaN decisions and a report;
+        # a NaN gamma or a bool C was blamed on the config
+        tmp, _, out = run
+        path = tmp / "bad_number.json"
+        path.write_text(json.dumps(mutate(json.loads((out / "model.json").read_text()))))
+        assert main(["evaluate", str(path), str(out / "features.csv"), "--folds", "2",
+                     "--out", str(tmp / "r.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "config field" not in err
+        assert not (tmp / "r.csv").exists()
+
+    def test_gridsearch_counts_only_labelled_rows(self, run, capsys):
+        # 4 unknown rows beside the 4 + 4 labelled ones do not make up 5 folds
+        tmp, _, out = run
+        lines = (out / "features.csv").read_text().splitlines(keepends=True)
+        unknown = [f"extra_{line.replace(',benign', ',unknown')}"
+                   for line in lines if line.endswith(",benign\n")]
+        assert len(unknown) == 4
+        path = tmp / "with_unknown.csv"
+        path.write_text("".join(lines + unknown))
+        assert main(["gridsearch", str(path), "--out", str(tmp / "s.csv")]) == 2
+        assert "error: 4 benign rows, too few for 5 folds" in capsys.readouterr().err
+
 
 class TestPhantomCommand:
     def test_generates_dataset(self, tmp_path):
@@ -537,7 +572,10 @@ class TestPipelineCommand:
          ('{"version": 1, "svm_gamma": Infinity}', "config field svm_gamma"),
          ('{"version": 1, "seed": -1}', "config field seed: must be >= 0"),
          ('{"version": 1, "denoise_radius": 300}', "config field denoise_radius"),
-         ('{"version": 1, "denoise_radius": 21}', "config field denoise_radius")],
+         ('{"version": 1, "denoise_radius": 21}', "config field denoise_radius"),
+         ('{"version": 1, "svm_gamma": 0}', "config field svm_gamma: rbf gamma must be"),
+         ('{"version": 1, "n_segments": 0}',
+          "config field n_segments: n_segments must be >= 1")],
         ids=["not-an-object", "string-for-int", "two-exponents", "removed-field", "one-fold",
              "unsupported-angle", "reversed-exponents", "negative-unsharp", "unsharp-radius-0",
              "zero-posterior-fraction", "infinite-exponent", "nan-compactness", "nan-gamma",
@@ -545,7 +583,7 @@ class TestPipelineCommand:
              "int-no-float-holds", "underflowing-c", "10^12-points", "removed-kernel",
              "removed-unsharp-amount", "removed-unsharp-radius", "nan-exponent",
              "infinite-gamma", "negative-seed", "huge-denoise-radius",
-             "denoise-radius-past-bound"],
+             "denoise-radius-past-bound", "zero-gamma", "zero-segments"],
     )
     def test_bad_config_exit_2_before_extraction(
         self, dataset_dir, tmp_path, monkeypatch, capsys, doc, message

@@ -54,6 +54,16 @@ class TestKernels:
         with pytest.raises(ValueError):
             svm.kernel_matrix(svm.KernelSpec("rbf"), np.array([1.0]), np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, True, 10**400, "1"],
+                             ids=["zero", "negative", "nan", "inf", "bool",
+                                  "int-no-float-holds", "string"])
+    def test_parameters_must_be_finite_positive_numbers(self, bad):
+        # an infinite gamma or a NaN C once constructed, and a bool passed for 1
+        with pytest.raises(ValueError, match=r"rbf gamma must be a finite number > 0"):
+            svm.KernelSpec("rbf", gamma=bad)
+        with pytest.raises(ValueError, match=r"^c must be a finite number > 0"):
+            svm.SmoSVC(c=bad)
+
     def test_rbf_gram_positive_semidefinite(self):
         rng = np.random.default_rng(1)
         for gamma in (0.1, 1.0, 5.0):
@@ -512,9 +522,25 @@ class TestPersistence:
         (lambda m: {**m, "support_vectors": [[0.5], *m["support_vectors"][1:]]},
          "support_vectors must be a list of equal-length rows"),
         (lambda m: {**m, "alphas": m["alphas"][1:]}, "alphas has"),
+        (lambda m: {**m, "norm_min": None, "norm_max": None}, "norm_min must be a list"),
+        (lambda m: {**m, "bias": math.nan}, "bias holds a non-finite number"),
+        (lambda m: {**m, "bias": True}, "bias must be a number"),
+        (lambda m: {**m, "bias": "0.5"}, "bias must be a number"),
+        (lambda m: {**m, "support_vectors": [[math.inf, 0.5], *m["support_vectors"][1:]]},
+         "support_vectors holds a non-finite number"),
+        (lambda m: {**m, "alphas": [-math.inf, *m["alphas"][1:]]},
+         "alphas holds a non-finite number"),
+        (lambda m: {**m, "norm_max": [True, *m["norm_max"][1:]]}, "norm_max must be a list"),
+        (lambda m: {**m, "kernel": {"kind": "rbf", "gamma": math.nan}},
+         "rbf gamma must be a finite number > 0, not nan"),
+        (lambda m: {**m, "kernel": {"kind": "rbf", "gamma": math.inf}},
+         "rbf gamma must be a finite number > 0, not inf"),
+        (lambda m: {**m, "c": True}, "c must be a finite number > 0, not True"),
     ], ids=["array", "version-only", "no-alphas", "no-kind", "sigmoid", "linear",
             "kernel-not-object", "null-norm-max", "short-norm-min", "ragged-rows",
-            "alpha-count"])
+            "alpha-count", "null-norms", "nan-bias", "bool-bias", "string-bias",
+            "infinite-support-vector", "infinite-alpha", "bool-norm", "nan-gamma",
+            "infinite-gamma", "bool-c"])
     def test_rejects_malformed_model(self, mutate, match):
         x, y, ids = _toy_problem()
         model = json.loads(svm.model_to_json(svm.SmoSVC(c=4.0, gamma=0.8).fit(x, y)))
@@ -532,17 +558,22 @@ class TestPersistence:
         probe = np.random.default_rng(12).normal(size=(10, 2))
         assert np.array_equal(clf.decision_function(probe), clone.decision_function(probe))
 
+    def test_unnormalized_model_cannot_be_saved(self):
+        # model.json has one layout, and it holds the min-max range
+        x, y, ids = _toy_problem()
+        clf = svm.SmoSVC(c=4.0, gamma=0.8, normalize=False).fit(x, y)
+        with pytest.raises(ValueError, match="without normalization"):
+            svm.model_to_json(clf)
+
     def test_serialization_deterministic(self):
         x, y, ids = _toy_problem()
         clf = svm.SmoSVC(c=4.0, gamma=0.8).fit(x, y)
         assert svm.model_to_json(clf) == svm.model_to_json(clf)
 
-    @pytest.mark.parametrize("normalize", [True, False], ids=["min-max", "null-norm"])
-    def test_round_trip_bytes_and_decisions(self, normalize):
+    def test_round_trip_bytes_and_decisions(self):
         x, y, ids = _toy_problem()
-        clf = svm.SmoSVC(c=4.0, gamma=0.8, normalize=normalize).fit(x, y)
+        clf = svm.SmoSVC(c=4.0, gamma=0.8).fit(x, y)
         text = svm.model_to_json(clf)
-        assert (json.loads(text)["norm_min"] is None) == (not normalize)
         clone = svm.model_from_json(text)
         assert svm.model_to_json(clone) == text
         probe = np.random.default_rng(12).normal(size=(10, 2))
