@@ -118,6 +118,9 @@ def _assign(
     h, w = l_plane.shape
     ax = np.arange(w, dtype=np.float64)
     ay = np.arange(h, dtype=np.float64)
+    # squared column and row offsets of every pixel from every center
+    dx2 = (ax - centers[:, 1:2]) ** 2
+    dy2 = (ay - centers[:, 2:3]) ** 2
     reach = 2.0 * s  # search half-width per center
     x0s = np.maximum(0, np.floor(centers[:, 1] - reach)).astype(int).tolist()
     x1s = np.minimum(w, np.ceil(centers[:, 1] + reach) + 1).astype(int).tolist()
@@ -126,12 +129,12 @@ def _assign(
     ss = s * s
     dist = np.full((h, w), np.inf)
     labels = np.full((h, w), -1, dtype=np.int32)
-    for idx, (cl, cx, cy) in enumerate(centers.tolist()):
+    for idx, cl in enumerate(centers[:, 0].tolist()):
         y0, y1, x0, x1 = y0s[idx], y1s[idx], x0s[idx], x1s[idx]
         d2 = l_plane[y0:y1, x0:x1] - cl
         d2 /= compactness
         np.square(d2, out=d2)
-        ds2 = (ay[y0:y1, None] - cy) ** 2 + (ax[x0:x1] - cx) ** 2
+        ds2 = dy2[idx, y0:y1, None] + dx2[idx, x0:x1]
         ds2 /= ss
         d2 += ds2
         win = dist[y0:y1, x0:x1]
@@ -147,9 +150,10 @@ def _assign(
 
     # Once centers drift a pixel can fall outside every 4S window; give it
     # to the spatially nearest center so the partition invariant holds.
-    oy, ox = np.nonzero(~claimed)
-    d = (ox[:, None] - centers[None, :, 1]) ** 2 + (oy[:, None] - centers[None, :, 2]) ** 2
-    labels[oy, ox] = np.argmin(d, axis=1)
+    if not claimed.all():
+        oy, ox = np.nonzero(~claimed)
+        d = (ox[:, None] - centers[None, :, 1]) ** 2 + (oy[:, None] - centers[None, :, 2]) ** 2
+        labels[oy, ox] = np.argmin(d, axis=1)
     return labels, float(max_offset)
 
 
@@ -200,10 +204,9 @@ def slic(
 
 
 def _drop_empty(labels: np.ndarray) -> np.ndarray:
-    present = np.unique(labels)
-    lut = np.full(present.max() + 1, -1, dtype=np.int32)
-    lut[present] = np.arange(len(present), dtype=np.int32)
-    return lut[labels]
+    # renumber the non-negative labels densely, keeping their order
+    present = np.bincount(labels.ravel()) > 0
+    return (np.cumsum(present, dtype=np.int32) - 1)[labels]
 
 
 def _components(labels: np.ndarray) -> tuple[np.ndarray, int]:
@@ -221,14 +224,21 @@ def _components(labels: np.ndarray) -> tuple[np.ndarray, int]:
     return comp[::2, ::2] - 1, n
 
 
-def _neighbour_pairs(ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _neighbour_pairs(
+    ids: np.ndarray, n: int, source: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     # Distinct (a, b) with a != b 4-adjacent somewhere in ``ids`` (values in
-    # [0, n)), each pair in both directions, sorted by a then b.
+    # [0, n)), each pair in both directions, sorted by a then b; with a bool
+    # mask ``source`` over [0, n), only the pairs whose a it marks.
     a = np.concatenate([ids[:, :-1].ravel(), ids[:-1, :].ravel()]).astype(np.int64)
     b = np.concatenate([ids[:, 1:].ravel(), ids[1:, :].ravel()]).astype(np.int64)
     diff = a != b
     a, b = a[diff], b[diff]
-    keys = np.unique(np.concatenate([a * n + b, b * n + a]))
+    a, b = np.concatenate([a, b]), np.concatenate([b, a])
+    if source is not None:
+        keep = source[a]
+        a, b = a[keep], b[keep]
+    keys = np.unique(a * n + b)
     return keys // n, keys % n
 
 
@@ -265,11 +275,12 @@ def _enforce_connectivity(labels: np.ndarray, min_size: int) -> np.ndarray:
     final[kept] = comp_label[kept]
     final[promoted] = np.arange(next_label, next_label + len(promoted))
 
-    # component adjacency in CSR form: neighbours of c are dst[ptr[c]:ptr[c + 1]]
-    src, dst = _neighbour_pairs(comp, n_comp)
+    # adjacency of the pending fragments in CSR form: the neighbours of a
+    # pending c are dst[ptr[c]:ptr[c + 1]]
+    labelled = final >= 0
+    src, dst = _neighbour_pairs(comp, n_comp, ~labelled)
     ptr = np.searchsorted(src, np.arange(n_comp + 1)).tolist()
     dst = dst.tolist()
-    labelled = final >= 0
     area = np.bincount(
         final[labelled], weights=sizes[labelled], minlength=next_label + len(promoted)
     ).astype(np.int64).tolist()
@@ -287,7 +298,7 @@ def _enforce_connectivity(labels: np.ndarray, min_size: int) -> np.ndarray:
             if not cand:
                 deferred.append(cid)
                 continue
-            best = min(cand, key=lambda lab: (-area[lab], lab))
+            best = cand.pop() if len(cand) == 1 else min(cand, key=lambda lab: (-area[lab], lab))
             current[cid] = best
             area[best] += size_of[cid]
         pending = deferred

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy import ndimage
+
 from sonocad import image
 
 
@@ -187,6 +189,24 @@ class TestDenoise:
                         xx = min(max(x + dx, 0), w - 1)
                         vals.append(img[yy, xx])
                 assert out[y, x] == sorted(vals)[4], (x, y)
+
+    # radius 1 runs the min/max network, larger radii scipy's rank filter
+    @pytest.mark.parametrize("radius, examples", [(1, 300), (2, 30)])
+    def test_matches_scipy_median_filter(self, radius, examples):
+        @given(st.data())
+        @settings(max_examples=examples, deadline=None)
+        def check(data):
+            h = data.draw(st.integers(1, 16), label="h")
+            w = data.draw(st.integers(1, 16), label="w")
+            levels = data.draw(st.sampled_from([2, 4, 256]), label="levels")  # few levels: ties
+            vals = data.draw(st.lists(st.integers(0, levels - 1), min_size=h * w, max_size=h * w))
+            img = np.array(vals, dtype=np.uint8).reshape(h, w)
+            got = image.denoise(img, radius)
+            assert got.dtype == np.uint8
+            expected = ndimage.median_filter(img, size=2 * radius + 1, mode="nearest")
+            assert np.array_equal(got, expected)
+
+        check()
 
     def test_radius_at_bound_accepted(self):
         img = np.full((8, 8), 9, dtype=np.uint8)

@@ -14,6 +14,7 @@ from sonocad.slic import (
     _drop_empty,
     _enforce_connectivity,
     _gradient_map,
+    _neighbour_pairs,
     seed_grid,
     slic,
     step_size,
@@ -247,34 +248,128 @@ def _oracle_enforce_connectivity(labels: np.ndarray, min_size: int) -> np.ndarra
     return _oracle_drop_empty(out.astype(np.int32))
 
 
+def _merge_cases(labels: np.ndarray, min_size: int, out: np.ndarray):
+    """The fragments that enforcement merges, and how often a merge found one
+    candidate label, found several, or was deferred to the next round.
+
+    ``out`` is the enforced labelling. Dense renumbering keeps distinct labels
+    distinct, so the candidate sets are read off it: a round visits the
+    pending fragments in id order, and a fragment's candidates are the ``out``
+    labels of its neighbours that are kept, promoted or merged by then.
+    """
+    comp, n = scan_components(labels)
+    sizes = np.bincount(comp.ravel(), minlength=n)
+    final = np.empty(n, dtype=np.int64)
+    final[comp.ravel()] = out.ravel()
+    pending = []
+    for lab in np.unique(labels):
+        cids = np.unique(comp[labels == lab]).tolist()
+        keep = max(cids, key=lambda c: (sizes[c], -c))  # largest, then first
+        pending += [c for c in cids if c != keep and sizes[c] < min_size]
+    pending.sort()
+    merged = list(pending)
+    neighbours = {c: set() for c in range(n)}
+    for a, b in ((comp[:, :-1], comp[:, 1:]), (comp[:-1], comp[1:])):
+        for u, v in zip(a.ravel().tolist(), b.ravel().tolist()):
+            if u != v:
+                neighbours[u].add(v)
+                neighbours[v].add(u)
+    decided = set(range(n)) - set(pending)
+    cases = {"one": 0, "several": 0, "deferred": 0}
+    while pending:
+        deferred = []
+        for c in pending:
+            cand = {int(final[d]) for d in neighbours[c] if d in decided}
+            if not cand:
+                deferred.append(c)
+                continue
+            cases["one" if len(cand) == 1 else "several"] += 1
+            decided.add(c)
+        cases["deferred"] += len(deferred)
+        pending = deferred
+    return merged, cases
+
+
 class TestEnforceConnectivityMatchesOracle:
+    # The tests check that the merge loop reached a fragment with one
+    # candidate label, one with several, and one deferred a round, and that
+    # the adjacency it built holds exactly the fragments it merges.
+    @staticmethod
+    def _enforce(labels, min_size, monkeypatch, reached):
+        sources = []
+
+        def spy(*args):
+            src, dst = _neighbour_pairs(*args)
+            sources.append(np.unique(src).tolist())
+            return src, dst
+
+        monkeypatch.setattr(slic_module, "_neighbour_pairs", spy)
+        got = _enforce_connectivity(labels, min_size)
+        merged, cases = _merge_cases(labels, min_size, got)
+        assert sources == [merged]
+        for case, count in cases.items():
+            reached[case] += count
+        return got
+
     @pytest.mark.parametrize("speckle", [0.0, 0.03, 0.06])
-    def test_phantom_labels_bit_identical(self, speckle):
+    def test_phantom_labels_bit_identical(self, speckle, monkeypatch):
+        reached = {"one": 0, "several": 0, "deferred": 0}
         for _, case in phantom.generate_dataset(1, 1, seed=11, speckle_sigma=speckle):
             pre = image.preprocess(case.image)
             raw = slic(pre, SlicParams(), enforce=False)
             min_size = round(raw.step) ** 2 // 4
             expected = _oracle_enforce_connectivity(raw.labels, min_size)
-            got = _enforce_connectivity(raw.labels, min_size)
+            got = self._enforce(raw.labels, min_size, monkeypatch, reached)
             assert got.dtype == expected.dtype
             assert np.array_equal(got, expected)
             assert np.array_equal(slic(pre, SlicParams()).labels, expected)
+        if speckle:  # no phantom fragment waits a round: the random maps reach that
+            assert reached["one"] > 0 and reached["several"] > 0, reached
+
+    def test_random_label_maps_bit_identical(self, monkeypatch):
+        reached = {"one": 0, "several": 0, "deferred": 0}
+
+        def compare(labels, min_size):
+            expected = _oracle_enforce_connectivity(labels, min_size)
+            got = self._enforce(labels, min_size, monkeypatch, reached)
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+
+        @given(st.data())
+        @settings(max_examples=150, deadline=None)
+        def check(data):
+            h = data.draw(st.integers(1, 12), label="h")
+            w = data.draw(st.integers(1, 12), label="w")
+            k = data.draw(st.integers(1, 6), label="k")
+            vals = data.draw(st.lists(st.integers(0, k - 1), min_size=h * w, max_size=h * w))
+            labels = np.array(vals, dtype=np.int32).reshape(h, w)
+            block = data.draw(st.integers(1, 3), label="block")
+            labels = np.repeat(np.repeat(labels, block, axis=0), block, axis=1)
+            min_size = data.draw(st.sampled_from([0, 1, 4, labels.size + 1]), label="min_size")
+            compare(labels, min_size)
+
+        # the draws defer a fragment in most runs, not all: the top-left 1
+        # touches only the pending 2s, so it waits for the second round
+        compare(np.array([[1, 2, 0, 0, 1, 1],
+                          [2, 2, 0, 0, 1, 1],
+                          [2, 0, 0, 2, 2, 2],
+                          [0, 0, 0, 2, 2, 2]], dtype=np.int32), 5)
+        check()
+        assert min(reached.values()) > 0, reached
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
-    def test_random_label_maps_bit_identical(self, data):
+    def test_neighbour_pairs_source_mask(self, data):
         h = data.draw(st.integers(1, 12), label="h")
         w = data.draw(st.integers(1, 12), label="w")
-        k = data.draw(st.integers(1, 6), label="k")
-        vals = data.draw(st.lists(st.integers(0, k - 1), min_size=h * w, max_size=h * w))
-        labels = np.array(vals, dtype=np.int32).reshape(h, w)
-        block = data.draw(st.integers(1, 3), label="block")
-        labels = np.repeat(np.repeat(labels, block, axis=0), block, axis=1)
-        min_size = data.draw(st.sampled_from([0, 1, 4, labels.size + 1]), label="min_size")
-        expected = _oracle_enforce_connectivity(labels, min_size)
-        got = _enforce_connectivity(labels, min_size)
-        assert got.dtype == expected.dtype
-        assert np.array_equal(got, expected)
+        n = data.draw(st.integers(1, 8), label="n")
+        ids = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=h * w, max_size=h * w)))
+        ids = ids.reshape(h, w)
+        source = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        src, dst = _neighbour_pairs(ids, n)
+        keep = source[src]
+        got_src, got_dst = _neighbour_pairs(ids, n, source)
+        assert np.array_equal(got_src, src[keep]) and np.array_equal(got_dst, dst[keep])
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
