@@ -10,12 +10,11 @@ from .image import MAX_DENOISE_RADIUS
 from .slic import SlicParams
 from .svm import DEFAULT_EXPONENTS, KernelSpec, exponent_lattice, finite_number
 
-CONFIG_VERSION = 1
+CONFIG_VERSION = 1  # the document's format: to_json writes it, from_json requires it
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    version: int = CONFIG_VERSION
     # preprocessing; denoise_radius 0 skips the median filter
     denoise_radius: int = 1
     # superpixels; the other SLIC, GLCM and posterior settings are constants:
@@ -59,15 +58,16 @@ class PipelineConfig:
                 raise ValueError(f"config field {name}: must be {rule}")
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2) + "\n"
+        return json.dumps({"version": CONFIG_VERSION, **asdict(self)}, indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "PipelineConfig":
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("config must be a JSON object")
-        if data.get("version") != CONFIG_VERSION:
-            raise ValueError(f"unsupported config version {data.get('version')!r}")
+        version = data.pop("version", None)
+        if version != CONFIG_VERSION:
+            raise ValueError(f"unsupported config version {version!r}")
         known = {f for f in cls.__dataclass_fields__}
         extra = set(data) - known
         if extra:

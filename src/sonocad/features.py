@@ -11,15 +11,12 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .image import validate_image
-from .roi import LABELS, RoiMask, centroid_radial_lengths
-
-FEATURE_NAMES = [
-    "ar", "rd", "cp", "rg", "cr", "energy", "homogeneity", "correlation", "ac",
-]
+from .roi import LABELS, RoiMask, centroid_radial_lengths, read_csv
 
 _ANGLE_OFFSETS = {0: (1, 0), 45: (1, -1), 90: (0, -1), 135: (-1, -1)}
 
@@ -38,8 +35,9 @@ class GlcmSpec:
     angles = (0, 45, 90, 135)
 
 
-@dataclass(frozen=True)
-class FeatureVector:
+class FeatureVector(NamedTuple):
+    """The nine features; the one place their names and order are written."""
+
     ar: float
     rd: float
     cp: float
@@ -51,10 +49,13 @@ class FeatureVector:
     ac: float
 
     def to_array(self) -> np.ndarray:
-        arr = np.array([getattr(self, n) for n in FEATURE_NAMES], dtype=np.float64)
+        arr = np.array(self, dtype=np.float64)
         if not np.isfinite(arr).all():
             raise ValueError("non-finite feature value")
         return arr
+
+
+FEATURE_NAMES = list(FeatureVector._fields)
 
 
 def bounding_box(mask: np.ndarray) -> tuple[int, int, int, int]:
@@ -217,31 +218,21 @@ def write_feature_csv(rows: list[tuple[str, FeatureVector, str]]) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(FEATURE_CSV_FIELDS)
     for image_id, fv, label in rows:
-        writer.writerow([image_id] + [f"{v:.12g}" for v in fv.to_array()] + [label])
+        writer.writerow([image_id] + [f"{v:.12g}" for v in fv.to_array().tolist()] + [label])
     return out.getvalue()
 
 
+def _parse_feature_row(rec: list[str]) -> tuple[str, FeatureVector, str]:
+    if rec[-1] not in LABELS:
+        raise ValueError(f"bad label {rec[-1]!r}")
+    values = [float(v) for v in rec[1:-1]]
+    if not all(map(math.isfinite, values)):
+        raise ValueError("non-finite feature value")
+    return rec[0], FeatureVector(*values), rec[-1]
+
+
 def read_feature_csv(text: str) -> list[tuple[str, FeatureVector, str]]:
-    """Parse ``write_feature_csv`` output; labels must be benign, malignant
-    or unknown. Any malformed input raises ``ValueError`` naming its 1-based
-    line."""
-    reader = csv.reader(io.StringIO(text))
-    rows = []
-    try:
-        header = next(reader, None)
-        if header != FEATURE_CSV_FIELDS:
-            raise ValueError(
-                "empty feature CSV" if header is None else f"bad feature CSV header {header}"
-            )
-        for rec in reader:
-            if len(rec) != len(FEATURE_CSV_FIELDS):
-                raise ValueError(f"expected {len(FEATURE_CSV_FIELDS)} fields, got {len(rec)}")
-            if rec[10] not in LABELS:
-                raise ValueError(f"bad label {rec[10]!r}")
-            values = [float(v) for v in rec[1:10]]
-            if not all(map(math.isfinite, values)):
-                raise ValueError("non-finite feature value")
-            rows.append((rec[0], FeatureVector(*values), rec[10]))
-    except (ValueError, csv.Error) as exc:
-        raise ValueError(f"line {max(reader.line_num, 1)}: {exc}") from None
-    return rows
+    """Parse ``write_feature_csv`` output by ``roi.read_csv``'s rules; a
+    value that is not a finite number or a label other than benign,
+    malignant or unknown also raises ``ValueError`` naming its line."""
+    return read_csv(text, FEATURE_CSV_FIELDS, _parse_feature_row, "feature CSV line")

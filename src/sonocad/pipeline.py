@@ -105,12 +105,13 @@ def extract_batch(rows: list[dict], base_dir: str, cfg: PipelineConfig) -> Batch
 def rows_to_matrix(
     rows: list[tuple[str, feat.FeatureVector, str]]
 ) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Feature CSV rows to (X, y, ids), y from ``roi.CLASSES``; 'unknown' rows are dropped."""
-    labeled = [(n, fv.to_array(), roi.CLASSES[lab]) for n, fv, lab in rows if lab in roi.CLASSES]
+    """``read_feature_csv`` rows, whose values are already checked, to
+    (X, y, ids), y from ``roi.CLASSES``; 'unknown' rows are dropped."""
+    labeled = [(n, fv, roi.CLASSES[lab]) for n, fv, lab in rows if lab in roi.CLASSES]
     if not labeled:
         raise ValueError("no labeled cases")
     ids, vectors, y = zip(*labeled)
-    return np.stack(vectors), np.array(y), list(ids)
+    return np.array(vectors, dtype=np.float64), np.array(y), list(ids)
 
 
 def _check_folds(y: np.ndarray | list[int], cfg: PipelineConfig):

@@ -187,42 +187,48 @@ def parse_seed(texts: list[str]) -> tuple[int, int]:
     return int(texts[0]), int(texts[1])
 
 
-def read_annotations(text: str) -> list[dict]:
-    """Parse the annotation CSV: image,seed_x,seed_y,label.
+def read_csv(text: str, fields: list[str], parse, where: str) -> list:
+    """The rows of a CSV document whose header is ``fields``, each through
+    ``parse``, which gets the row's values as a list.
 
-    A row without exactly four fields, a non-integer seed, an unknown label,
-    an image named twice or a CSV syntax error raises ``ValueError`` naming its
-    1-based line.
+    Blank rows are skipped; any other row needs one value per field, and its
+    first field, the image, may appear only once. A CSV syntax error, any
+    other breach of these rules and a ``ValueError`` from ``parse`` raise
+    ``ValueError("<where> N: ...")`` for the 1-based line N.
     """
-    reader = csv.DictReader(io.StringIO(text))
-    rows = []
+    reader = csv.reader(io.StringIO(text))
+    rows, first_line = [], {}
     try:
-        if reader.fieldnames != ANNOTATION_FIELDS:
-            raise ValueError(
-                f"bad annotation header {reader.fieldnames}, expected {ANNOTATION_FIELDS}"
-            )
-        first_line: dict[str, int] = {}
+        header = next(reader, None)
+        if header != fields:
+            raise ValueError("empty text" if header is None
+                             else f"header {header}, expected {fields}")
         for rec in reader:
-            where = f"annotation line {reader.line_num}"
-            if None in rec or None in rec.values():
-                raise ValueError(f"{where}: expected {len(ANNOTATION_FIELDS)} fields")
-            if rec["label"] not in LABELS:
-                raise ValueError(f"{where}: bad label {rec['label']!r} for {rec['image']}")
-            if rec["image"] in first_line:
-                raise ValueError(
-                    f"{where}: image {rec['image']!r} already annotated"
-                    f" on line {first_line[rec['image']]}"
-                )
-            first_line[rec["image"]] = reader.line_num
-            try:
-                seed_x, seed_y = parse_seed([rec["seed_x"], rec["seed_y"]])
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
-            rows.append({**rec, "seed_x": seed_x, "seed_y": seed_y})
-    except csv.Error as exc:  # e.g. a bare carriage return inside a row
-        # DictReader.line_num only advances after a row parses
-        raise ValueError(f"annotation line {max(reader.reader.line_num, 1)}: {exc}") from None
+            if not rec:
+                continue
+            if len(rec) != len(fields):
+                raise ValueError(f"expected {len(fields)} fields, got {len(rec)}")
+            if rec[0] in first_line:
+                raise ValueError(f"image {rec[0]!r} already on line {first_line[rec[0]]}")
+            first_line[rec[0]] = reader.line_num
+            rows.append(parse(rec))
+    except (ValueError, csv.Error) as exc:
+        raise ValueError(f"{where} {max(reader.line_num, 1)}: {exc}") from None
     return rows
+
+
+def _parse_annotation(rec: list[str]) -> dict:
+    if rec[3] not in LABELS:
+        raise ValueError(f"bad label {rec[3]!r}")
+    seed_x, seed_y = parse_seed(rec[1:3])
+    return {"image": rec[0], "seed_x": seed_x, "seed_y": seed_y, "label": rec[3]}
+
+
+def read_annotations(text: str) -> list[dict]:
+    """Parse the annotation CSV, image,seed_x,seed_y,label, by ``read_csv``'s
+    rules; a seed that is not two integers or an unknown label also raises
+    ``ValueError`` naming its line."""
+    return read_csv(text, ANNOTATION_FIELDS, _parse_annotation, "annotation line")
 
 
 def write_annotations(rows: list[dict]) -> str:

@@ -389,6 +389,20 @@ class TestStagesMatchPipeline:
         assert main(["gridsearch", str(path), "--out", str(tmp / "s.csv")]) == 2
         assert "error: 4 benign rows, too few for 5 folds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "gridsearch"])
+    def test_repeated_image_exit_2_writes_nothing(self, run, capsys, command):
+        # the run's last row again: a repeated case is rejected, not fitted twice
+        tmp, _, out = run
+        lines = (out / "features.csv").read_text().splitlines(keepends=True)
+        path = tmp / "repeated.csv"
+        path.write_text("".join(lines + lines[-1:]))
+        target = tmp / f"repeated_{command}.out"
+        assert main([command, str(path), "--out", str(target)]) == 2
+        image = lines[-1].split(",")[0]
+        assert (f"error: feature CSV line {len(lines) + 1}: image {image!r} already on line "
+                f"{len(lines)}") in capsys.readouterr().err
+        assert not target.exists()
+
 
 class TestPhantomCommand:
     def test_generates_dataset(self, tmp_path):
@@ -512,7 +526,7 @@ class TestPipelineCommand:
         "rows, message",
         [
             (["a.pgm,3,4,benign", "b.pgm,5,6,malignant", "a.pgm,1,1,malignant"],
-             "image 'a.pgm' already annotated on line 2"),
+             "image 'a.pgm' already on line 2"),
             (["a.pgm,3,4,benign", "b.pgm,5.5,6,malignant"], "is not two integers"),
             (["a.pgm,3,4,benign", "b.pgm,5,6,benign", "c.pgm,1,1,unknown"],
              "2 benign rows, too few for 5 folds"),
@@ -735,6 +749,11 @@ class TestConfig:
     def test_wrong_version_rejected(self):
         with pytest.raises(ValueError):
             PipelineConfig.from_json('{"version": 7}')
+
+    def test_version_is_not_a_field(self):
+        # the document's format constant, written by to_json and required by from_json
+        with pytest.raises(TypeError):
+            PipelineConfig(version=2)
 
     @pytest.mark.parametrize("doc, match", [
         ("[1]", "JSON object"),

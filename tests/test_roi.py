@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+from sonocad import features as feat
 from sonocad import image, phantom, roi
 from sonocad.slic import (
     _FOUR_CONNECTED,
@@ -456,12 +458,12 @@ class TestAnnotations:
     @pytest.mark.parametrize(
         "row, message",
         [
-            ("a.pgm,7,7,malignant", "line 4: image 'a.pgm' already annotated on line 2"),
+            ("a.pgm,7,7,malignant", "line 4: image 'a.pgm' already on line 2"),
             ("c.pgm,7.5,7,malignant", "line 4: seed ('7.5', '7') is not two integers"),
             ("c.pgm,,7,malignant", "line 4: seed ('', '7') is not two integers"),
             ("c.pgm,1_0,7,malignant", "line 4: seed ('1_0', '7') is not two integers"),
-            ("c.pgm,7,7", "line 4: expected 4 fields"),
-            ("c.pgm,7,7,benign,extra", "line 4: expected 4 fields"),
+            ("c.pgm,7,7", "line 4: expected 4 fields, got 3"),
+            ("c.pgm,7,7,benign,extra", "line 4: expected 4 fields, got 5"),
         ],
         ids=[
             "duplicate-image", "decimal-seed", "empty-seed", "underscore-seed",
@@ -473,6 +475,51 @@ class TestAnnotations:
         with pytest.raises(ValueError) as exc:
             roi.read_annotations(text)
         assert str(exc.value) == "annotation " + message
+
+
+class TestReadCsv:
+    """The rules ``roi.read_csv`` sets for both of a run's CSV inputs."""
+
+    READERS = {
+        "annotations": (roi.read_annotations, roi.ANNOTATION_FIELDS, "annotation line",
+                        ["a.pgm,1,2,benign", "b.pgm,3,4,malignant", "c.pgm,5,6,unknown"]),
+        "features": (feat.read_feature_csv, feat.FEATURE_CSV_FIELDS, "feature CSV line",
+                     [f"{name}.pgm,1,0.9,0.006,0.02,3.5,0.4,0.8,0.1,1.2,{label}"
+                      for name, label in [("a", "benign"), ("b", "malignant"), ("c", "unknown")]]),
+    }
+    # case: (the document's lines from its header h and rows r, the line
+    # named, the message given the fields)
+    CASES = {
+        "header": (lambda h, r: ["img,x", r[0]], 1,
+                   lambda fields: f"header ['img', 'x'], expected {fields}"),
+        "empty-text": (lambda h, r: [], 1, lambda fields: "empty text"),
+        "short-row": (lambda h, r: [h, r[0], "c.pgm,1"], 3,
+                      lambda fields: f"expected {len(fields)} fields, got 2"),
+        "long-row": (lambda h, r: [h, r[0], r[2] + ",extra"], 3,
+                     lambda fields: f"expected {len(fields)} fields, got {len(fields) + 1}"),
+        # the blank row is skipped but still counts as a line
+        "repeated-image": (lambda h, r: [h, r[0], "", r[1], r[0]], 5,
+                           lambda fields: "image 'a.pgm' already on line 2"),
+        "csv-syntax": (lambda h, r: [h, r[0], "c" * (csv.field_size_limit() + 1)], 3,
+                       lambda fields: f"field larger than field limit ({csv.field_size_limit()})"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("reader", READERS)
+    def test_rule_breach_names_its_line(self, reader, case):
+        read, fields, where, rows = self.READERS[reader]
+        lines, line, message = self.CASES[case]
+        with pytest.raises(ValueError) as exc:
+            read("".join(f"{text}\n" for text in lines(",".join(fields), rows)))
+        assert str(exc.value) == f"{where} {line}: {message(fields)}"
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_blank_rows_skipped(self, reader):
+        read, fields, _, rows = self.READERS[reader]
+        text = "\n".join([",".join(fields), *rows]) + "\n"
+        spaced = "\n".join([",".join(fields), "", rows[0], "", "", *rows[1:]]) + "\n\n"
+        assert len(read(text)) == 3
+        assert read(spaced) == read(text)
 
 
 class TestMaskIo:
