@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .image import validate_image
-from .roi import LABELS, RoiMask, centroid_radial_lengths, read_csv
+from .roi import RoiMask, centroid_radial_lengths, read_csv
 
 _ANGLE_OFFSETS = {0: (1, 0), 45: (1, -1), 90: (0, -1), 135: (-1, -1)}
 
@@ -223,8 +223,6 @@ def write_feature_csv(rows: list[tuple[str, FeatureVector, str]]) -> str:
 
 
 def _parse_feature_row(rec: list[str]) -> tuple[str, FeatureVector, str]:
-    if rec[-1] not in LABELS:
-        raise ValueError(f"bad label {rec[-1]!r}")
     values = [float(v) for v in rec[1:-1]]
     if not all(map(math.isfinite, values)):
         raise ValueError("non-finite feature value")
@@ -233,6 +231,6 @@ def _parse_feature_row(rec: list[str]) -> tuple[str, FeatureVector, str]:
 
 def read_feature_csv(text: str) -> list[tuple[str, FeatureVector, str]]:
     """Parse ``write_feature_csv`` output by ``roi.read_csv``'s rules; a
-    value that is not a finite number or a label other than benign,
-    malignant or unknown also raises ``ValueError`` naming its line."""
+    value that is not a finite number also raises ``ValueError`` naming its
+    line."""
     return read_csv(text, FEATURE_CSV_FIELDS, _parse_feature_row, "feature CSV line")

@@ -191,9 +191,10 @@ def read_csv(text: str, fields: list[str], parse, where: str) -> list:
     """The rows of a CSV document whose header is ``fields``, each through
     ``parse``, which gets the row's values as a list.
 
-    Blank rows are skipped; any other row needs one value per field, and its
-    first field, the image, may appear only once. A CSV syntax error, any
-    other breach of these rules and a ``ValueError`` from ``parse`` raise
+    Blank rows are skipped; any other row needs one value per field, its last
+    field, the label, must be one of ``LABELS``, and its first field, the
+    image, may appear only once. A CSV syntax error, any other breach of
+    these rules and a ``ValueError`` from ``parse`` raise
     ``ValueError("<where> N: ...")`` for the 1-based line N.
     """
     reader = csv.reader(io.StringIO(text))
@@ -208,6 +209,8 @@ def read_csv(text: str, fields: list[str], parse, where: str) -> list:
                 continue
             if len(rec) != len(fields):
                 raise ValueError(f"expected {len(fields)} fields, got {len(rec)}")
+            if rec[-1] not in LABELS:
+                raise ValueError(f"bad label {rec[-1]!r} for {rec[0]}")
             if rec[0] in first_line:
                 raise ValueError(f"image {rec[0]!r} already on line {first_line[rec[0]]}")
             first_line[rec[0]] = reader.line_num
@@ -218,16 +221,14 @@ def read_csv(text: str, fields: list[str], parse, where: str) -> list:
 
 
 def _parse_annotation(rec: list[str]) -> dict:
-    if rec[3] not in LABELS:
-        raise ValueError(f"bad label {rec[3]!r}")
     seed_x, seed_y = parse_seed(rec[1:3])
     return {"image": rec[0], "seed_x": seed_x, "seed_y": seed_y, "label": rec[3]}
 
 
 def read_annotations(text: str) -> list[dict]:
     """Parse the annotation CSV, image,seed_x,seed_y,label, by ``read_csv``'s
-    rules; a seed that is not two integers or an unknown label also raises
-    ``ValueError`` naming its line."""
+    rules; a seed that is not two integers also raises ``ValueError`` naming
+    its line."""
     return read_csv(text, ANNOTATION_FIELDS, _parse_annotation, "annotation line")
 
 

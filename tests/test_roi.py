@@ -497,6 +497,8 @@ class TestReadCsv:
                       lambda fields: f"expected {len(fields)} fields, got 2"),
         "long-row": (lambda h, r: [h, r[0], r[2] + ",extra"], 3,
                      lambda fields: f"expected {len(fields)} fields, got {len(fields) + 1}"),
+        "bad-label": (lambda h, r: [h, r[0], r[1].replace("malignant", "Malignant")], 3,
+                      lambda fields: "bad label 'Malignant' for b.pgm"),
         # the blank row is skipped but still counts as a line
         "repeated-image": (lambda h, r: [h, r[0], "", r[1], r[0]], 5,
                            lambda fields: "image 'a.pgm' already on line 2"),
