@@ -66,7 +66,7 @@ class PipelineConfig:
         if not isinstance(data, dict):
             raise ValueError("config must be a JSON object")
         version = data.pop("version", None)
-        if version != CONFIG_VERSION:
+        if type(version) is not int or version != CONFIG_VERSION:  # not a bool, not 1.0
             raise ValueError(f"unsupported config version {version!r}")
         known = {f for f in cls.__dataclass_fields__}
         extra = set(data) - known

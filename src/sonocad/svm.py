@@ -9,9 +9,11 @@ working-set step on a stack of problems at once; ``smo_solve`` is its batch of
 one. It keeps y * alpha inside per-row bounds and -y * G, so that a step
 takes few numpy calls. The grid search and the CV report run one loop,
 ``cv_decisions``: one split, one min-max range per fold and one training Gram
-per (fold, gamma). The Grams are cut into stacks of at most ``_STACK_BYTES``,
-and C is the inner loop of each stack, with one batched solve of the stack's
-problems per C; C is the outer loop only when one stack holds them all.
+per (fold, gamma). Beside each stack of Grams it builds, once, the stack of
+their second-order curvatures a = K_ii + K_jj - 2 K_ij, which every C reuses.
+The two stacks together hold at most ``_STACK_BYTES``, and C is the inner
+loop of each stack, with one batched solve of the stack's problems per C; C
+is the outer loop only when one stack holds them all.
 Every fit uses the same tolerance, and a fit that does not meet it within
 ``MAX_STEPS`` steps raises a RuntimeWarning.
 """
@@ -29,7 +31,7 @@ _CHANGE_EPS = 1e-5  # alphas this close to a bound do not set the bias
 _TAU = 1e-12  # stands in for a non-positive curvature a = K_ii + K_jj - 2 K_ij
 _SV_EPS = 1e-9  # alphas above this are support vectors
 _TOL = 1e-3  # the KKT tolerance of every fit
-_STACK_BYTES = 64 << 20  # the most Gram bytes one batched solve holds
+_STACK_BYTES = 64 << 20  # the most bytes of Gram and curvature stacks one batched solve holds
 MAX_STEPS = 100_000  # step cap: ~100x the most steps (1,046) of a 120x9 fit on a 21x21 lattice
 
 
@@ -73,16 +75,34 @@ def smo_solve(
     sum(alpha * y) = 0.
     """
     y = np.asarray(y, dtype=np.float64)
-    alpha = _smo_batch(k_mat[None], y[None], c, tol)[0]
+    grams = k_mat[None]
+    alpha = _smo_batch(grams, _curvatures(grams), y[None], c, tol)[0]
     return alpha, _bias(k_mat, y, alpha, c)
 
 
-def _smo_batch(grams: np.ndarray, y: np.ndarray, c: float, tol: float) -> np.ndarray:
+def _curvatures(grams: np.ndarray) -> np.ndarray:
+    """The ``(B, n, n)`` curvatures of a stack of Gram matrices: entry
+    [p, r, s] is a = (K_rr + K_ss) - 2 K_rs of ``grams[p]``, and ``_TAU``
+    where that is not positive. Built in place, one problem at a time, so no
+    temporary is larger than one Gram matrix."""
+    curvs = np.empty(grams.shape)
+    for k_mat, a in zip(grams, curvs):
+        diag = np.diagonal(k_mat)
+        np.add(diag[:, None], diag, out=a)
+        a -= 2.0 * k_mat
+        np.putmask(a, a <= 0, _TAU)
+    return curvs
+
+
+def _smo_batch(
+    grams: np.ndarray, curvs: np.ndarray, y: np.ndarray, c: float, tol: float
+) -> np.ndarray:
     """SMO with LIBSVM's second-order working-set selection (Fan, Chen & Lin,
     JMLR 2005) on B problems at once, problem p on the ``(n, n)`` Gram matrix
-    ``grams[p]`` with labels ``y[p]``. A problem with fewer rows is padded
-    with label 0: a padded row is in neither I_up nor I_low, so it never
-    enters a working set. Returns the ``(B, n)`` alphas, 0 on padded rows.
+    ``grams[p]``, whose ``_curvatures`` are ``curvs[p]``, with labels
+    ``y[p]``. A problem with fewer rows is padded with label 0: a padded row
+    is in neither I_up nor I_low, so it never enters a working set. Returns
+    the ``(B, n)`` alphas, 0 on padded rows.
 
     With the gradient G = Q alpha - 1 and Q = (y y') * K, the state is
     ``ya`` = y * alpha and ``v`` = -y * G. The box 0 <= alpha <= C becomes
@@ -91,8 +111,10 @@ def _smo_batch(grams: np.ndarray, y: np.ndarray, c: float, tol: float) -> np.nda
     is ``ya > lo``. Each step pairs i, the maximal violator of v over I_up,
     with the j of I_low that promises the largest decrease, b^2 / a, and
     moves both to the optimum along their direction, inside the box: ``ya_i``
-    rises and ``ya_j`` falls by t, and ``v -= t * (K_i - K_j)``. As y = +-1,
-    this is the same arithmetic as updating alpha and G. A problem leaves the
+    rises and ``ya_j`` falls by t, and ``v -= t * (K_i - K_j)``. The a of
+    the step are row i of ``curvs[p]``, which depends on neither C nor the
+    step, so a caller builds it once per stack for every C. As y = +-1, this
+    is the same arithmetic as updating alpha and G. A problem leaves the
     batch once the gap m - M between its largest violations is at most
     ``tol`` (Keerthi et al., Neural Computation 2001), which bounds every KKT
     residual by ``tol``, and warns (RuntimeWarning) if ``MAX_STEPS`` steps do
@@ -102,10 +124,10 @@ def _smo_batch(grams: np.ndarray, y: np.ndarray, c: float, tol: float) -> np.nda
     n = y.shape[1]
     out = np.zeros(y.shape)
     flat = grams.reshape(-1, n)  # Gram rows, problem p's row r at p * n + r
+    flat_a = curvs.reshape(-1, n)  # curvature rows, in the same order
     idx = np.arange(len(y))  # the problem in each row of the state below
     # flat offsets of each state row: in the (rows, n) state, and of its Gram in flat
     base = gi = idx * n
-    diag = np.diagonal(grams, axis1=1, axis2=2).copy()
     hi = np.where(y > 0, c, np.where(y < 0, 0.0, -np.inf))
     lo = np.where(y > 0, 0.0, np.where(y < 0, -c, np.inf))
     ya = np.zeros(y.shape)
@@ -127,16 +149,18 @@ def _smo_batch(grams: np.ndarray, y: np.ndarray, c: float, tol: float) -> np.nda
             if done.all():
                 break
             go = ~done
-            idx, diag, hi, lo, ya, v, w, i, m = (
-                s[go] for s in (idx, diag, hi, lo, ya, v, w, i, m))
+            idx, hi, lo, ya, v, w, i, m = (s[go] for s in (idx, hi, lo, ya, v, w, i, m))
             base, gi = np.arange(len(idx)) * n, idx * n
             fi = base + i
-        k_i = flat.take(gi + i, axis=0)
-        b = m[:, None] - w  # -inf outside I_low
-        a = diag.take(fi)[:, None] + diag - 2.0 * k_i
-        np.putmask(a, a <= 0, _TAU)
-        # the j of I_low with v_j < m that maximizes b^2 / a
-        j = np.where(b > 0, b * b / a, -np.inf).argmax(axis=1)
+        ri = gi + i
+        k_i, a = flat.take(ri, axis=0), flat_a.take(ri, axis=0)
+        b = np.subtract(m[:, None], w, out=w)  # -inf outside I_low
+        # the j of I_low with v_j < m that maximizes b^2 / a: every other j
+        # scores 0, below the j of the gap, whose b exceeds tol
+        q = np.maximum(b, 0.0)
+        q *= q
+        q /= a
+        j = q.argmax(axis=1)
         fj = base + j
         ya_i, ya_j = ya.take(fi), ya.take(fj)
         hi_i, lo_j = hi.take(fi), lo.take(fj)
@@ -145,7 +169,10 @@ def _smo_batch(grams: np.ndarray, y: np.ndarray, c: float, tol: float) -> np.nda
         # a variable that hits its limit is set to it: ya + (hi - ya) can round past hi
         ya.put(fi, np.where(t < room_i, ya_i + t, hi_i))
         ya.put(fj, np.where(t < room_j, ya_j - t, lo_j))
-        v -= t[:, None] * (k_i - flat.take(gi + j, axis=0))
+        dk = flat.take(gi + j, axis=0)
+        np.subtract(k_i, dk, out=dk)
+        dk *= t[:, None]
+        v -= dk  # v -= t (K_i - K_j)
     return out
 
 
@@ -308,9 +335,10 @@ def cv_decisions(
     gamma = gammas[j]. Each fold is normalized on its training rows alone.
 
     The training Gram of every (fold, gamma) is built once and padded to the
-    largest training fold; per C, one ``_smo_batch`` call solves them all.
-    Stacks are cut at ``_STACK_BYTES``, so memory does not grow with k or
-    the number of gammas."""
+    largest training fold, and beside each stack of Grams its curvature stack;
+    per C, one ``_smo_batch`` call solves them all. Stacks are cut so that
+    both together hold at most ``_STACK_BYTES``, so memory does not grow with
+    k or the number of gammas."""
     x, y = _check_xy(x, y)
     folds = kfold_split(ids, y, k, seed)
     sets = []  # per fold: normalized training rows, their labels, normalized test rows
@@ -322,7 +350,7 @@ def cv_decisions(
     specs = [KernelSpec(gamma=gamma) for gamma in gammas]
     cells = [(f, j) for f in range(len(folds)) for j in range(len(gammas))]
     size = max(len(y_train) for _, y_train, _ in sets)
-    per_stack = max(1, _STACK_BYTES // (8 * size * size))
+    per_stack = max(1, _STACK_BYTES // (2 * 8 * size * size))  # a Gram and its curvatures
     out = np.empty((len(cs), len(gammas), len(y)))
     for first in range(0, len(cells), per_stack):
         stack = cells[first : first + per_stack]
@@ -333,8 +361,9 @@ def cv_decisions(
             n = len(y_train)
             grams[p, :n, :n] = kernel_matrix(specs[j], x_train, x_train)
             labels[p, :n] = y_train
+        curvs = _curvatures(grams)
         for i, c in enumerate(cs):
-            alphas = _smo_batch(grams, labels, c, _TOL)
+            alphas = _smo_batch(grams, curvs, labels, c, _TOL)
             for p, (f, j) in enumerate(stack):
                 x_train, y_train, x_test = sets[f]
                 n = len(y_train)
@@ -439,14 +468,16 @@ def _field(payload: dict, key: str, ndim: int) -> np.ndarray:
 
 def model_from_json(text: str) -> SmoSVC:
     """Inverse of ``model_to_json``. A document that is not such a model (not
-    an object, a missing field, an unknown kernel, a bool or non-finite number,
-    ragged support vectors, an alpha count or norm vector that does not fit
-    them) raises ``ValueError``; keys it does not use are ignored."""
+    an object, a version other than the int 1, a missing field, an unknown
+    kernel, a bool or non-finite number, ragged support vectors, an alpha
+    count or norm vector that does not fit them) raises ``ValueError``; keys
+    it does not use are ignored."""
     payload = json.loads(text)
     if not isinstance(payload, dict):
         raise ValueError("model must be a JSON object")
-    if payload.get("version") != 1:
-        raise ValueError(f"unsupported model version {payload.get('version')!r}")
+    version = payload.get("version")
+    if type(version) is not int or version != 1:  # not a bool, not 1.0
+        raise ValueError(f"unsupported model version {version!r}")
     try:
         kernel = payload["kernel"]
         clf = SmoSVC(c=payload["c"], kernel=kernel["kind"], gamma=kernel["gamma"])

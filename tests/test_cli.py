@@ -363,10 +363,14 @@ class TestStagesMatchPipeline:
         (lambda m: {**m, "kernel": {**m["kernel"], "gamma": math.nan}},
          "rbf gamma must be a finite number > 0, not nan"),
         (lambda m: {**m, "c": True}, "c must be a finite number > 0, not True"),
-    ], ids=["nan-bias", "infinite-support-vector", "nan-gamma", "bool-c"])
+        (lambda m: {**m, "version": True}, "unsupported model version True"),
+        (lambda m: {**m, "version": 1.0}, "unsupported model version 1.0"),
+    ], ids=["nan-bias", "infinite-support-vector", "nan-gamma", "bool-c", "bool-version",
+            "float-version"])
     def test_model_number_not_finite_is_parse_error(self, run, capsys, mutate, message):
         # NaN and Infinity once loaded and gave NaN decisions and a report;
-        # a NaN gamma or a bool C was blamed on the config
+        # a NaN gamma or a bool C was blamed on the config; a version of true
+        # or 1.0 once read as 1
         tmp, _, out = run
         path = tmp / "bad_number.json"
         path.write_text(json.dumps(mutate(json.loads((out / "model.json").read_text()))))
@@ -589,7 +593,9 @@ class TestPipelineCommand:
          ('{"version": 1, "denoise_radius": 21}', "config field denoise_radius"),
          ('{"version": 1, "svm_gamma": 0}', "config field svm_gamma: rbf gamma must be"),
          ('{"version": 1, "n_segments": 0}',
-          "config field n_segments: n_segments must be >= 1")],
+          "config field n_segments: n_segments must be >= 1"),
+         ('{"version": true}', "error: unsupported config version True"),
+         ('{"version": 1.0}', "error: unsupported config version 1.0")],
         ids=["not-an-object", "string-for-int", "two-exponents", "removed-field", "one-fold",
              "unsupported-angle", "reversed-exponents", "negative-unsharp", "unsharp-radius-0",
              "zero-posterior-fraction", "infinite-exponent", "nan-compactness", "nan-gamma",
@@ -597,7 +603,8 @@ class TestPipelineCommand:
              "int-no-float-holds", "underflowing-c", "10^12-points", "removed-kernel",
              "removed-unsharp-amount", "removed-unsharp-radius", "nan-exponent",
              "infinite-gamma", "negative-seed", "huge-denoise-radius",
-             "denoise-radius-past-bound", "zero-gamma", "zero-segments"],
+             "denoise-radius-past-bound", "zero-gamma", "zero-segments", "bool-version",
+             "float-version"],
     )
     def test_bad_config_exit_2_before_extraction(
         self, dataset_dir, tmp_path, monkeypatch, capsys, doc, message
@@ -749,6 +756,13 @@ class TestConfig:
     def test_wrong_version_rejected(self):
         with pytest.raises(ValueError):
             PipelineConfig.from_json('{"version": 7}')
+
+    @pytest.mark.parametrize("version", ["true", "1.0", '"1"', "null"])
+    def test_version_must_be_the_int_1(self, version):
+        # every field beside it rejects a bool, and 1.0 is not the int 1
+        doc = PipelineConfig().to_json().replace('"version": 1,', f'"version": {version},')
+        with pytest.raises(ValueError, match="unsupported config version"):
+            PipelineConfig.from_json(doc)
 
     def test_version_is_not_a_field(self):
         # the document's format constant, written by to_json and required by from_json

@@ -315,7 +315,7 @@ class TestBatchMatchesOracle:
         sizes = np.random.default_rng(seed).integers(6, 40, size=9).tolist()
         grams, labels, problems = _padded_stack(seed, sizes)
         c = 2.0  # low enough that alphas reach the box
-        got = svm._smo_batch(grams, labels, c, 1e-3)
+        got = svm._smo_batch(grams, svm._curvatures(grams), labels, c, 1e-3)
         at_box = 0
         for p, (k_mat, y) in enumerate(problems):
             want_alpha, want_b = _oracle_smo_solve(k_mat, y, c)
@@ -334,12 +334,45 @@ class TestBatchMatchesOracle:
         sizes = [120, 119, 120, 118, 120, 119, 120, 120, 118, 120]
         grams, labels, problems = _window_stack(3, sizes, 2.0**-4.8)
         c = 2.0**log2c
-        got = svm._smo_batch(grams, labels, c, 1e-3)
+        got = svm._smo_batch(grams, svm._curvatures(grams), labels, c, 1e-3)
         for p, (k_mat, y) in enumerate(problems):
             n = len(y)
             assert np.array_equal(got[p, :n], _oracle_smo_solve(k_mat, y, c)[0])
             assert not got[p, n:].any()
             assert (got[p] == c).sum() > 20 and ((got[p] > 0) & (got[p] < c)).any()
+
+    def test_lattice_floor_bit_identical(self):
+        # C = 2^-8, the default lattice's smallest: nearly every alpha ends at the box
+        sizes = [120, 119, 120, 118, 120, 119, 120, 120, 118, 120]
+        grams, labels, problems = _window_stack(5, sizes, 2.0**-4.8)
+        c = 2.0**-8
+        got = svm._smo_batch(grams, svm._curvatures(grams), labels, c, 1e-3)
+        for p, (k_mat, y) in enumerate(problems):
+            n = len(y)
+            assert np.array_equal(got[p, :n], _oracle_smo_solve(k_mat, y, c)[0])
+            assert not got[p, n:].any()
+            assert (got[p] == c).sum() > n // 2
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_curvature_rows_match_oracle(self, seed):
+        sizes = np.random.default_rng(seed).integers(6, 40, size=9).tolist()
+        grams, _, problems = _padded_stack(seed, sizes)
+        curvs = svm._curvatures(grams)
+        for p, (k_mat, y) in enumerate(problems):
+            n = len(y)
+            diag, pad_diag = np.diag(k_mat), np.diag(grams[p])
+            for i in range(len(grams[p])):
+                if i < n:  # _oracle_smo_solve's a for working-set row i
+                    a = diag[i] + diag - 2.0 * k_mat[i]
+                    a[a <= 0] = svm._TAU
+                    assert np.array_equal(curvs[p, i, :n], a)
+                # the padded row the step would have built, padded columns too
+                a = pad_diag[i] + pad_diag - 2.0 * grams[p, i]
+                a[a <= 0] = svm._TAU
+                assert np.array_equal(curvs[p, i], a)
+            # rows 0 and 1 are one point, so their a = 0 stands in as _TAU
+            assert curvs[p, 0, 1] == curvs[p, 1, 0] == svm._TAU
+        assert len(set(sizes)) > 1  # some problems are padded
 
     def test_only_capped_problems_warn(self, monkeypatch):
         monkeypatch.setattr(svm, "MAX_STEPS", 12)
@@ -351,7 +384,7 @@ class TestBatchMatchesOracle:
             want = [str(w.message) for w in caught]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            got = svm._smo_batch(grams, labels, 1.0, 1e-3)
+            got = svm._smo_batch(grams, svm._curvatures(grams), labels, 1.0, 1e-3)
         assert [str(w.message) for w in caught] == want
         assert all(w.category is RuntimeWarning for w in caught)
         assert 0 < len(want) < len(sizes)  # some problems are capped, some are not
@@ -508,6 +541,13 @@ class TestPersistence:
     def test_rejects_unknown_version(self):
         with pytest.raises(ValueError):
             svm.model_from_json('{"version": 99}')
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1", None], ids=repr)
+    def test_version_must_be_the_int_1(self, version):
+        x, y, ids = _toy_problem()
+        model = json.loads(svm.model_to_json(svm.SmoSVC(c=4.0, gamma=0.8).fit(x, y)))
+        with pytest.raises(ValueError, match=f"unsupported model version {version!r}"):
+            svm.model_from_json(json.dumps({**model, "version": version}))
 
     @pytest.mark.parametrize("mutate, match", [
         (lambda m: [1, 2], "JSON object"),
@@ -713,12 +753,33 @@ class TestFoldLoopMatchesOracle:
         # one batched solve per C, each of every (fold, gamma) problem
         assert batches == [3 * 3] * 2
 
+    def test_one_curvature_stack_per_gram_stack(self, monkeypatch):
+        # one curvature stack beside each stack of (fold, gamma) Grams, the
+        # same one passed at every C
+        built, passed = [], []
+        curvatures, batch = svm._curvatures, svm._smo_batch
+        monkeypatch.setattr(svm, "_curvatures",
+                            lambda grams: built.append(curvatures(grams)) or built[-1])
+        monkeypatch.setattr(svm, "_smo_batch",
+                            lambda grams, curvs, *args: passed.append(curvs) or batch(
+                                grams, curvs, *args))
+        x, y, ids = _toy_problem()
+        cs, gammas = [0.5, 4.0], [0.5, 1.0, 2.0]
+        svm.cv_decisions(x, y, ids, 3, 0, cs, gammas)
+        assert len(built) == 1 and [id(a) for a in passed] == [id(built[0])] * 2
+        built.clear(), passed.clear()
+        monkeypatch.setattr(svm, "_STACK_BYTES", 4 * 2 * 8 * 16 * 16)  # as below: 3 stacks
+        svm.cv_decisions(x, y, ids, 3, 0, cs, gammas)
+        assert len(built) == 3
+        assert [id(a) for a in passed] == [id(a) for a in built for _ in cs]
+
     def test_stack_cut_at_byte_cap(self, monkeypatch):
         x, y, ids = _toy_problem()
         cs, gammas = [0.5, 4.0], [0.5, 1.0, 2.0]
         _, whole = svm.cv_decisions(x, y, ids, 3, 0, cs, gammas)
         batches = _count_batches(monkeypatch)
-        monkeypatch.setattr(svm, "_STACK_BYTES", 4 * 8 * 16 * 16)  # four 16-row training Grams
+        # four 16-row training Grams and their curvatures
+        monkeypatch.setattr(svm, "_STACK_BYTES", 4 * 2 * 8 * 16 * 16)
         _, cut = svm.cv_decisions(x, y, ids, 3, 0, cs, gammas)
         assert np.array_equal(cut, whole)
         assert batches == [4, 4, 4, 4, 1, 1]  # per stack of (fold, gamma) problems, per C
