@@ -1,10 +1,11 @@
 """SLIC superpixel clustering: localized 5-D k-means over (l, a, b, x, y).
 
 For grayscale input the chroma channels are identically zero, so centers
-carry (l, x, y) only. The search for each center is bounded to a 4S x 4S
-window around it, 2S on each side, S being the grid step derived from the
-target cluster count. Tie-breaking is fixed everywhere (lowest label index,
-row-major scan) so the labeling is deterministic.
+carry (l, x, y) only. The search for each center is bounded to a 2S x 2S
+window around it, S on each side, S being the grid step derived from the
+target cluster count: the reference window of Achanta et al. (TPAMI 2012).
+Tie-breaking is fixed everywhere (lowest label index, row-major scan) so the
+labeling is deterministic.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ MAX_ITERS = 10
 # otherwise MAX_ITERS bounds the loop. It ends most noiseless phantoms
 # early, while speckled ones still move more and use the whole budget.
 CONV_EPS = 0.25
+# Half-width of each center's search window, in grid steps S: Achanta et
+# al.'s 2S x 2S window
+SEARCH_REACH = 1.0
 
 
 @dataclass(frozen=True)
@@ -48,7 +52,7 @@ class SuperpixelLabeling:
     labels: np.ndarray
     step: float
     # largest per-axis pixel-to-claiming-center offset seen during assignment;
-    # bounded by the 2S search reach (plus window rounding)
+    # bounded by the S search reach (plus window rounding)
     max_assign_offset: float = 0.0
 
     @property
@@ -109,7 +113,7 @@ def _assign(
 ) -> tuple[np.ndarray, float]:
     """One assignment pass of the localized k-means.
 
-    Centers are visited in index order; each claims the pixels of its 4S x 4S
+    Centers are visited in index order; each claims the pixels of its 2S x 2S
     window to which it is strictly closer than every earlier center, so ties
     go to the lower index. A pixel outside every window goes to the spatially
     nearest center. Returns the labels and the largest per-axis offset from a
@@ -121,7 +125,7 @@ def _assign(
     # squared column and row offsets of every pixel from every center
     dx2 = (ax - centers[:, 1:2]) ** 2
     dy2 = (ay - centers[:, 2:3]) ** 2
-    reach = 2.0 * s  # search half-width per center
+    reach = SEARCH_REACH * s  # search half-width per center
     x0s = np.maximum(0, np.floor(centers[:, 1] - reach)).astype(int).tolist()
     x1s = np.minimum(w, np.ceil(centers[:, 1] + reach) + 1).astype(int).tolist()
     y0s = np.maximum(0, np.floor(centers[:, 2] - reach)).astype(int).tolist()
@@ -148,7 +152,7 @@ def _assign(
         np.abs(ay[:, None] - centers[:, 2].take(labels)).max(where=claimed, initial=0.0),
     )
 
-    # Once centers drift a pixel can fall outside every 4S window; give it
+    # Once centers drift a pixel can fall outside every 2S window; give it
     # to the spatially nearest center so the partition invariant holds.
     if not claimed.all():
         oy, ox = np.nonzero(~claimed)
@@ -165,7 +169,7 @@ def slic(
     """Cluster the image into superpixels and enforce label connectivity.
 
     ``enforce=False`` returns the raw converged assignment, where every pixel
-    is within the 4S x 4S search window of its center but labels may still be
+    is within the 2S x 2S search window of its center but labels may still be
     fragmented. No pipeline stage uses it; it stays because it is the one way
     to see the assignment that connectivity enforcement starts from: the
     benchmark times enforcement as the difference of the two calls and counts

@@ -81,9 +81,9 @@ class TestSlic:
         rng = np.random.default_rng(0)
         img = rng.integers(0, 256, (48, 48), dtype=np.uint8)
         labeling = slic(img, SlicParams(n_segments=16))
-        # assignment never reaches past the 2S search window (+1 for the
+        # assignment never reaches past the S search reach (+1 for the
         # integer window bounds)
-        assert labeling.max_assign_offset <= 2 * labeling.step + 1
+        assert labeling.max_assign_offset <= labeling.step + 1
 
     def test_two_region_split(self):
         img = np.zeros((20, 40), dtype=np.uint8)
@@ -431,7 +431,7 @@ def _oracle_assign(l_plane, centers, s, compactness):
     h, w = l_plane.shape
     xs, ys = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
     labels = np.full((h, w), -1, dtype=np.int32)
-    reach = 2.0 * s  # search half-width per center
+    reach = s  # search half-width per center: Achanta et al.'s 2S x 2S window
     offset = None
 
     dist = np.full((h, w), np.inf)
@@ -519,6 +519,8 @@ class TestAssignmentMatchesOracle:
             assert np.array_equal(got.labels, labels)
             assert got.step == step
             assert got.max_assign_offset == offset
+            # the 2S x 2S window: S on each side, +1 for the integer bounds
+            assert got.max_assign_offset <= step + 1
 
     def test_hand_placed_centers_bit_identical(self):
         # Examples are drawn with hypothesis; random images alone never leave
