@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -222,7 +223,15 @@ def write_feature_csv(rows: list[tuple[str, FeatureVector, str]]) -> str:
     return out.getvalue()
 
 
+# the characters of a row's joined values that float() may see: ASCII digits,
+# sign, point, exponent and the letters of inf and nan (rejected later as
+# non-finite); float() alone would also take "1_0", " 2" and non-ASCII digits
+_NUMERIC_FIELDS = re.compile(r"[0-9+\-.eEinfaINFA,]*")
+
+
 def _parse_feature_row(rec: list[str]) -> tuple[str, FeatureVector, str]:
+    if not _NUMERIC_FIELDS.fullmatch(",".join(rec[1:-1])):
+        raise ValueError("feature value is not a decimal number")
     values = [float(v) for v in rec[1:-1]]
     if not all(map(math.isfinite, values)):
         raise ValueError("non-finite feature value")
@@ -231,6 +240,6 @@ def _parse_feature_row(rec: list[str]) -> tuple[str, FeatureVector, str]:
 
 def read_feature_csv(text: str) -> list[tuple[str, FeatureVector, str]]:
     """Parse ``write_feature_csv`` output by ``roi.read_csv``'s rules; a
-    value that is not a finite number also raises ``ValueError`` naming its
-    line."""
+    value that is not a finite number in ASCII decimal or exponent form also
+    raises ``ValueError`` naming its line."""
     return read_csv(text, FEATURE_CSV_FIELDS, _parse_feature_row, "feature CSV line")

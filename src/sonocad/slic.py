@@ -4,13 +4,15 @@ For grayscale input the chroma channels are identically zero, so centers
 carry (l, x, y) only. The search for each center is bounded to a 2S x 2S
 window around it, S on each side, S being the grid step derived from the
 target cluster count: the reference window of Achanta et al. (TPAMI 2012).
-Tie-breaking is fixed everywhere (lowest label index, row-major scan) so the
-labeling is deterministic.
+Intensities are uint8, so each pass takes a window's colour term from a
+(K, 256) table of every center against every grey level's lightness instead
+of recomputing it per pixel. Tie-breaking is fixed everywhere (lowest label
+index, row-major scan) so the labeling is deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
@@ -18,6 +20,8 @@ from scipy import ndimage
 from .image import to_lightness, validate_image
 
 _FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+# the lightness of each uint8 grey level: row 0 of to_lightness over 0..255
+_LEVELS = to_lightness(np.arange(256, dtype=np.uint8)[None])[0]
 
 # Achanta et al.'s setting: color normalizer m on the l in [0, 100] scale,
 # and the iteration budget of the k-means loop
@@ -51,13 +55,21 @@ class SuperpixelLabeling:
 
     labels: np.ndarray
     step: float
-    # largest per-axis pixel-to-claiming-center offset seen during assignment;
-    # bounded by the S search reach (plus window rounding)
-    max_assign_offset: float = 0.0
+    # each assignment pass's (labels, claimed mask or None, centers), arrays
+    # slic allocates anyway; max_assign_offset reduces them only when read
+    passes: tuple = field(default=(), repr=False)
 
     @property
     def n_labels(self) -> int:
         return int(self.labels.max()) + 1
+
+    @property
+    def max_assign_offset(self) -> float:
+        """Largest per-axis offset from a window-claimed pixel to its center
+        over all passes; bounded by the S search reach (plus window rounding).
+        Computed from the kept passes when read, so it costs nothing unless
+        read."""
+        return max((_assign_offset(*p) for p in self.passes), default=0.0)
 
 
 def step_size(n_pixels: int, k: int) -> float:
@@ -109,22 +121,26 @@ def seed_grid(l_plane: np.ndarray, step: float) -> np.ndarray:
 
 
 def _assign(
-    l_plane: np.ndarray, centers: np.ndarray, s: float, compactness: float
-) -> tuple[np.ndarray, float]:
-    """One assignment pass of the localized k-means.
+    codes: np.ndarray, centers: np.ndarray, s: float, compactness: float
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """One assignment pass of the localized k-means over the uint8 grey
+    levels ``codes``.
 
     Centers are visited in index order; each claims the pixels of its 2S x 2S
     window to which it is strictly closer than every earlier center, so ties
-    go to the lower index. A pixel outside every window goes to the spatially
-    nearest center. Returns the labels and the largest per-axis offset from a
-    window-claimed pixel to its center (0.0 when no pixel was claimed).
+    go to the lower index. A window's colour term ((l - c_l) / m)^2 is read
+    from a (K, 256) table built once per pass over the grey levels' lightness,
+    the same operations per level as per pixel. A pixel outside every window
+    goes to the spatially nearest center. Returns the labels and the mask of
+    window-claimed pixels, None when every pixel was claimed.
     """
-    h, w = l_plane.shape
-    ax = np.arange(w, dtype=np.float64)
-    ay = np.arange(h, dtype=np.float64)
+    h, w = codes.shape
+    tab = _LEVELS - centers[:, :1]
+    tab /= compactness
+    np.square(tab, out=tab)
     # squared column and row offsets of every pixel from every center
-    dx2 = (ax - centers[:, 1:2]) ** 2
-    dy2 = (ay - centers[:, 2:3]) ** 2
+    dx2 = (np.arange(w, dtype=np.float64) - centers[:, 1:2]) ** 2
+    dy2 = (np.arange(h, dtype=np.float64) - centers[:, 2:3]) ** 2
     reach = SEARCH_REACH * s  # search half-width per center
     x0s = np.maximum(0, np.floor(centers[:, 1] - reach)).astype(int).tolist()
     x1s = np.minimum(w, np.ceil(centers[:, 1] + reach) + 1).astype(int).tolist()
@@ -133,11 +149,9 @@ def _assign(
     ss = s * s
     dist = np.full((h, w), np.inf)
     labels = np.full((h, w), -1, dtype=np.int32)
-    for idx, cl in enumerate(centers[:, 0].tolist()):
+    for idx, row in enumerate(tab):
         y0, y1, x0, x1 = y0s[idx], y1s[idx], x0s[idx], x1s[idx]
-        d2 = l_plane[y0:y1, x0:x1] - cl
-        d2 /= compactness
-        np.square(d2, out=d2)
+        d2 = row.take(codes[y0:y1, x0:x1])
         ds2 = dy2[idx, y0:y1, None] + dx2[idx, x0:x1]
         ds2 /= ss
         d2 += ds2
@@ -146,19 +160,25 @@ def _assign(
         np.minimum(win, d2, out=win)
         np.copyto(labels[y0:y1, x0:x1], idx, where=better)
 
-    claimed = labels >= 0  # an unclaimed pixel's -1 takes the last center: masked out
-    max_offset = max(
-        np.abs(ax - centers[:, 1].take(labels)).max(where=claimed, initial=0.0),
-        np.abs(ay[:, None] - centers[:, 2].take(labels)).max(where=claimed, initial=0.0),
-    )
-
+    if labels.min() >= 0:
+        return labels, None
     # Once centers drift a pixel can fall outside every 2S window; give it
     # to the spatially nearest center so the partition invariant holds.
-    if not claimed.all():
-        oy, ox = np.nonzero(~claimed)
-        d = (ox[:, None] - centers[None, :, 1]) ** 2 + (oy[:, None] - centers[None, :, 2]) ** 2
-        labels[oy, ox] = np.argmin(d, axis=1)
-    return labels, float(max_offset)
+    claimed = labels >= 0
+    oy, ox = np.nonzero(~claimed)
+    d = (ox[:, None] - centers[None, :, 1]) ** 2 + (oy[:, None] - centers[None, :, 2]) ** 2
+    labels[oy, ox] = np.argmin(d, axis=1)
+    return labels, claimed
+
+
+def _assign_offset(labels: np.ndarray, claimed: np.ndarray | None, centers: np.ndarray) -> float:
+    # largest per-axis offset from a claimed pixel (every pixel when
+    # ``claimed`` is None) to its center; 0.0 when no pixel was claimed
+    h, w = labels.shape
+    where = True if claimed is None else claimed
+    dx = np.abs(np.arange(w, dtype=np.float64) - centers[:, 1].take(labels))
+    dy = np.abs(np.arange(h, dtype=np.float64)[:, None] - centers[:, 2].take(labels))
+    return float(max(dx.max(where=where, initial=0.0), dy.max(where=where, initial=0.0)))
 
 
 def slic(
@@ -183,12 +203,15 @@ def slic(
     l_plane = to_lightness(img)
     centers = seed_grid(l_plane, max(1.0, s))
 
+    codes = img.astype(np.intp)
     xs, ys = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
-    max_offset = 0.0
+    passes = []
 
-    for _ in range(MAX_ITERS):
-        labels, offset = _assign(l_plane, centers, s, COMPACTNESS)
-        max_offset = max(max_offset, offset)
+    while True:
+        labels, claimed = _assign(codes, centers, s, COMPACTNESS)
+        passes.append((labels, claimed, centers))
+        if len(passes) == MAX_ITERS:
+            break  # the last pass's center update would go unused
 
         flat = labels.ravel()
         counts = np.bincount(flat, minlength=len(centers))
@@ -204,7 +227,7 @@ def slic(
 
     # enforcement renumbers densely itself, keeping the order of labels
     labels = _enforce_connectivity(labels, round(s) ** 2 // 4) if enforce else _drop_empty(labels)
-    return SuperpixelLabeling(labels=labels, step=s, max_assign_offset=max_offset)
+    return SuperpixelLabeling(labels=labels, step=s, passes=tuple(passes))
 
 
 def _drop_empty(labels: np.ndarray) -> np.ndarray:
@@ -242,7 +265,12 @@ def _neighbour_pairs(
     if source is not None:
         keep = source[a]
         a, b = a[keep], b[keep]
-    keys = np.unique(a * n + b)
+    # sort, then keep each key that differs from its predecessor: np.unique's
+    # result without its slower path
+    keys = np.sort(a * n + b)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    keys = keys[first]
     return keys // n, keys % n
 
 

@@ -29,6 +29,15 @@ def _first_case(dataset_dir):
     return rows[0]
 
 
+_FEATURE_HEADER = "image,ar,rd,cp,rg,cr,energy,homogeneity,correlation,ac,label\n"
+# ten rows train and gridsearch accept, so a row added to them is the only defect
+_FEATURE_ROWS = "".join(
+    f"{label}{i}.pgm,{1 + i / 10 + (label == 'malignant')},0.9,0.006,0.02,3.5,0.4,0.8,0.1,1.2,"
+    f"{label}\n"
+    for label in ("benign", "malignant") for i in range(5)
+)
+
+
 class TestUsage:
     def test_no_command(self, capsys):
         assert main([]) == 1
@@ -96,7 +105,11 @@ class TestUsage:
         "b.pgm,1,0.9,0.006,0.02,nan,0.4,0.8,0.1,1.2,malignant\n",
         "image,ar,rd,cp,rg,cr,energy,homogeneity,correlation,ac,label\n"
         "a.pgm,1,0.9,0.006,0.02,3.5,0.4,0.8,0.1,1e999,benign\n",
-    ], ids=["empty", "truncated_row", "nan", "overflow"])
+        # forms float() takes but roi.parse_seed rejects in a seed
+        *(_FEATURE_HEADER + f"a.pgm,{value},0.9,0.006,0.02,3.5,0.4,0.8,0.1,1.2,benign\n"
+          + _FEATURE_ROWS for value in ("1_0", " 2", "2 ", "\u0661")),
+    ], ids=["empty", "truncated_row", "nan", "overflow", "underscore", "leading-space",
+            "trailing-space", "arabic-indic-digit"])
     def test_bad_feature_csv_is_parse_error(self, tmp_path, capsys, command, text):
         feats = tmp_path / "features.csv"
         feats.write_text(text)

@@ -11,6 +11,7 @@ from sonocad.slic import _components as scan_components
 from sonocad.slic import (
     SlicParams,
     _assign,
+    _assign_offset,
     _drop_empty,
     _enforce_connectivity,
     _gradient_map,
@@ -511,8 +512,10 @@ class TestAssignmentMatchesOracle:
     @pytest.mark.parametrize("speckle", [0.0, 0.03, 0.06])
     def test_phantom_slic_bit_identical(self, speckle, enforce):
         params = SlicParams()
-        for _, case in phantom.generate_dataset(1, 1, seed=5, speckle_sigma=speckle):
-            pre = image.preprocess(case.image)
+        cases = phantom.generate_dataset(1, 1, seed=5, speckle_sigma=speckle)
+        # a ramp through all 256 grey levels reaches both ends of the colour table
+        ramp = np.arange(256, dtype=np.uint8).reshape(16, 16)
+        for pre in [image.preprocess(case.image) for _, case in cases] + [ramp]:
             labels, step, offset = _oracle_slic(pre, params, enforce)
             got = slic(pre, params, enforce)
             assert got.labels.dtype == labels.dtype
@@ -534,7 +537,8 @@ class TestAssignmentMatchesOracle:
             h = data.draw(st.integers(1, 14), label="h")
             w = data.draw(st.integers(1, 14), label="w")
             vals = data.draw(st.lists(st.integers(0, 255), min_size=h * w, max_size=h * w))
-            l_plane = to_lightness(np.array(vals, dtype=np.uint8).reshape(h, w))
+            codes = np.array(vals, dtype=np.uint8).reshape(h, w)
+            l_plane = to_lightness(codes)
             s = data.draw(st.sampled_from([0.5, 1.0, 1.7, 2.5, 4.0]), label="s")
             compactness = data.draw(st.sampled_from([1.0, 10.0, 33.3]), label="compactness")
             n = data.draw(st.integers(1, 6), label="k")
@@ -551,9 +555,10 @@ class TestAssignmentMatchesOracle:
             centers = np.array(centers, dtype=np.float64)
 
             expected, offset, claimed = _oracle_assign(l_plane, centers, s, compactness)
-            labels, got_offset = _assign(l_plane, centers, s, compactness)
+            labels, got_claimed = _assign(codes, centers, s, compactness)
             assert labels.dtype == expected.dtype
             assert np.array_equal(labels, expected)
+            got_offset = _assign_offset(labels, got_claimed, centers)
             assert got_offset == (0.0 if offset is None else offset)
 
             reached["orphan"] += int((~claimed).any())
