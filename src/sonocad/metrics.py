@@ -91,12 +91,11 @@ def roc(decisions, truth) -> RocCurve:
     order = np.argsort(-decisions, kind="stable")
     d, t = decisions[order], truth[order]
     ends = np.flatnonzero(np.append(d[1:] != d[:-1], True))  # last index of each tie block
-    tp, fp = np.cumsum(t == 1)[ends].tolist(), np.cumsum(t == -1)[ends].tolist()
-    points = [(0.0, 0.0)] + [(f / n_neg, p / n_pos) for f, p in zip(fp, tp)]
-    area = 0.0
-    for (x0, y0), (x1, y1) in zip(points, points[1:]):
-        area += (x1 - x0) * (y0 + y1) / 2.0
-    return RocCurve(points=points, auc=float(area))
+    fpr = np.append(0.0, np.cumsum(t == -1)[ends] / n_neg)
+    tpr = np.append(0.0, np.cumsum(t == 1)[ends] / n_pos)
+    # cumsum adds the trapezoids in curve order; sum() would add them pairwise
+    area = np.cumsum(np.diff(fpr) * (tpr[:-1] + tpr[1:]) / 2.0)[-1]
+    return RocCurve(points=list(zip(fpr.tolist(), tpr.tolist())), auc=float(area))
 
 
 def roc_csv(curve: RocCurve) -> str:

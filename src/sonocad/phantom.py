@@ -83,7 +83,13 @@ def generate(spec: PhantomSpec) -> PhantomCase:
     if cy + max_ry + max_ry >= h:
         raise ValueError("no room for the posterior rectangle below the lesion")
 
-    ys, xs = np.mgrid[0:h, 0:w]
+    # Only the box that reaches a pixel past max_rx, max_ry can hold the
+    # lesion: beyond it rho > 1 + spike_amplitude >= limit, with a full
+    # pixel's margin over rounding. Every pixel's value is the full frame's.
+    # The fit check above can leave the right-hand margin past the frame.
+    y0, y1 = int(cy - max_ry), math.ceil(cy + max_ry) + 1
+    x0, x1 = int(cx - max_rx), min(w, math.ceil(cx + max_rx) + 1)
+    ys, xs = np.ogrid[y0:y1, x0:x1]
     dx = (xs - cx) / spec.semi_axis_x
     dy = (ys - cy) / spec.semi_axis_y
     rho = np.sqrt(dx**2 + dy**2)
@@ -92,7 +98,8 @@ def generate(spec: PhantomSpec) -> PhantomCase:
         limit = 1.0 + spec.spike_amplitude * np.sin(spec.spikes * theta)
     else:
         limit = 1.0
-    mask = rho <= limit
+    mask = np.zeros((h, w), dtype=bool)
+    mask[y0:y1, x0:x1] = rho <= limit
 
     rows = np.nonzero(mask.any(axis=1))[0]
     cols = np.nonzero(mask.any(axis=0))[0]

@@ -13,6 +13,20 @@ BENCHMARK_FOLDS = [
 ]
 
 
+def _oracle_roc(decisions, truth):
+    """``metrics.roc``'s points and area as a per-point Python loop."""
+    n_pos, n_neg = int(np.sum(truth == 1)), int(np.sum(truth == -1))
+    order = np.argsort(-decisions, kind="stable")
+    d, t = decisions[order], truth[order]
+    ends = np.flatnonzero(np.append(d[1:] != d[:-1], True))
+    tp, fp = np.cumsum(t == 1)[ends].tolist(), np.cumsum(t == -1)[ends].tolist()
+    points = [(0.0, 0.0)] + [(f / n_neg, p / n_pos) for f, p in zip(fp, tp)]
+    area = 0.0
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        area += (x1 - x0) * (y0 + y1) / 2.0
+    return points, area
+
+
 class TestConfusionCounts:
     def test_addition(self):
         a = metrics.ConfusionCounts(1, 2, 3, 4)
@@ -117,6 +131,19 @@ class TestRoc:
             neg = d[truth == -1]
             wins = sum((p > q) + 0.5 * (p == q) for p in pos for q in neg)
             assert curve.auc == pytest.approx(wins / (len(pos) * len(neg)))
+
+    def test_matches_trapezoid_loop_exactly(self):
+        # the area is summed in curve order, so it keeps the bits of the
+        # per-point loop that it replaced
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            n = int(rng.integers(2, 300))
+            truth = rng.choice([-1, 1], size=n)
+            truth[:2] = [1, -1]
+            # a coarse grid of values forces tie blocks of every size
+            d = rng.integers(0, int(rng.integers(1, 40)), size=n) / 7.0
+            curve = metrics.roc(d, truth)
+            assert (curve.points, curve.auc) == _oracle_roc(d, truth)
 
     def test_monotone_points(self):
         rng = np.random.default_rng(1)

@@ -1,9 +1,73 @@
+import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sonocad import features, phantom, roi
+from sonocad.phantom import PhantomCase
+from sonocad.roi import CLASSES
+
+
+def _oracle_generate(spec: phantom.PhantomSpec) -> PhantomCase:
+    """``phantom.generate`` as it was when it rasterized the whole frame."""
+    w, h = spec.width, spec.height
+    cx, cy = w / 2.0, h * 0.35  # upper-middle, leaving room for the posterior band
+    max_ry = spec.semi_axis_y * (1.0 + spec.spike_amplitude)
+    max_rx = spec.semi_axis_x * (1.0 + spec.spike_amplitude)
+    # the lesion plus half its height of posterior band must stay in frame
+    if cx - max_rx < 0 or cx + max_rx >= w or cy - max_ry < 0:
+        raise ValueError("lesion does not fit in the frame")
+    if cy + max_ry + max_ry >= h:
+        raise ValueError("no room for the posterior rectangle below the lesion")
+
+    ys, xs = np.mgrid[0:h, 0:w]
+    dx = (xs - cx) / spec.semi_axis_x
+    dy = (ys - cy) / spec.semi_axis_y
+    rho = np.sqrt(dx**2 + dy**2)
+    if spec.spikes > 0 and spec.spike_amplitude > 0:
+        theta = np.arctan2(ys - cy, xs - cx)
+        limit = 1.0 + spec.spike_amplitude * np.sin(spec.spikes * theta)
+    else:
+        limit = 1.0
+    mask = rho <= limit
+
+    rows = np.nonzero(mask.any(axis=1))[0]
+    cols = np.nonzero(mask.any(axis=0))[0]
+    r1 = rows[-1]
+    img = np.full((h, w), float(spec.background_top))
+    img[r1 + 1 :, :] = spec.background_bottom
+    box_h = rows[-1] - rows[0] + 1
+    band = max(1, round(0.5 * box_h))
+    if spec.posterior_mode == "enhancement":
+        band_value = spec.background_bottom + spec.posterior_delta
+    else:
+        band_value = spec.background_bottom - spec.posterior_delta
+        if band_value <= spec.background_top:
+            raise ValueError("posterior shadow must stay brighter than the upper tone")
+    img[r1 + 1 : min(h, r1 + 1 + band), cols[0] : cols[-1] + 1] = band_value
+    img[mask] = spec.lesion_intensity
+
+    if spec.speckle_sigma > 0:
+        rng = np.random.default_rng(spec.seed)
+        img = img * (1.0 + rng.normal(0.0, spec.speckle_sigma, size=img.shape))
+    img = np.clip(np.round(img), 0, 255).astype(np.uint8)
+
+    my, mx = np.nonzero(mask)
+    sx, sy = int(round(mx.mean())), int(round(my.mean()))
+    if not mask[sy, sx]:  # centroid can fall just off-mask for odd stars
+        j = np.argmin((mx - sx) ** 2 + (my - sy) ** 2)
+        sx, sy = int(mx[j]), int(my[j])
+    return PhantomCase(image=img, truth_mask=mask, seed_x=sx, seed_y=sy,
+                       label=CLASSES[spec.kind])
+
+
+def _assert_same_case(got: PhantomCase, want: PhantomCase):
+    assert got.image.dtype == want.image.dtype
+    assert np.array_equal(got.image, want.image)
+    assert np.array_equal(got.truth_mask, want.truth_mask)
+    assert (got.seed_x, got.seed_y, got.label) == (want.seed_x, want.seed_y, want.label)
 
 
 class TestGenerate:
@@ -84,6 +148,67 @@ class TestGenerate:
     def test_non_finite_or_negative_noise_rejected(self, field, value):
         with pytest.raises(ValueError, match="must be finite and >= 0"):
             phantom.PhantomSpec(**{field: value})
+
+
+def _largest_fit(spec: phantom.PhantomSpec) -> phantom.PhantomSpec:
+    """``spec`` with each semi-axis grown to the largest float that the
+    full-frame rasterization accepts."""
+    for field in ("semi_axis_x", "semi_axis_y"):
+        lo, hi = getattr(spec, field), float(spec.width + spec.height)
+        while math.nextafter(lo, hi) < hi:  # lo fits, hi does not
+            mid = (lo + hi) / 2
+            try:
+                _oracle_generate(replace(spec, **{field: mid}))
+                lo = mid
+            except ValueError:
+                hi = mid
+        spec = replace(spec, **{field: lo})
+    return spec
+
+
+_SPIKY = dict(kind="malignant", semi_axis_x=14.0, semi_axis_y=21.0, spikes=11,
+              spike_amplitude=0.3, posterior_mode="shadow")
+
+
+class TestMatchesOracle:
+    """``generate`` rasterizes only the lesion's box; every output must keep
+    the bits of the full-frame rasterization."""
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.03])
+    @pytest.mark.parametrize("seed", [0, 7, 9000])
+    def test_dataset(self, seed, sigma):
+        cases = phantom.generate_dataset(62, 88, seed=seed, speckle_sigma=sigma)
+        for i, (name, case) in enumerate(cases):
+            kind = name.rsplit("_", 1)[1]
+            base = replace(phantom.default_spec(kind), speckle_sigma=sigma)
+            spec = phantom._jitter(base, np.random.default_rng(seed + i), case_seed=seed + i)
+            _assert_same_case(case, _oracle_generate(spec))
+
+    @pytest.mark.parametrize("width", [160, 161])  # 161: cx is not integral
+    @pytest.mark.parametrize("shape", [{}, _SPIKY], ids=["ellipse", "spiky"])
+    def test_largest_lesion_that_fits(self, width, shape):
+        spec = _largest_fit(phantom.PhantomSpec(width=width, speckle_sigma=0.03, seed=5,
+                                                **shape))
+        grown = replace(spec, semi_axis_x=math.nextafter(spec.semi_axis_x, math.inf))
+        with pytest.raises(ValueError, match="does not fit"):
+            phantom.generate(grown)
+        _assert_same_case(phantom.generate(spec), _oracle_generate(spec))
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            _SPIKY,
+            {**_SPIKY, "width": 161, "height": 151},
+            {"spikes": 0, "spike_amplitude": 0.25},
+            {"spikes": 0, "spike_amplitude": 0.0},
+            {"spikes": 11, "spike_amplitude": 0.0},
+        ],
+        ids=["11-spikes", "odd-frame", "ellipse-with-amplitude", "ellipse", "no-amplitude"],
+    )
+    @pytest.mark.parametrize("sigma", [0.0, 0.03])
+    def test_shapes(self, shape, sigma):
+        spec = replace(phantom.PhantomSpec(**shape), speckle_sigma=sigma, seed=11)
+        _assert_same_case(phantom.generate(spec), _oracle_generate(spec))
 
 
 class TestDataset:
