@@ -11,7 +11,6 @@ import json
 import sys
 
 import numpy as np
-from scipy import ndimage
 
 from . import features as feat
 from . import image, metrics, phantom, pipeline, roi, svm
@@ -65,6 +64,7 @@ def cmd_segment(args) -> int:
 
 
 def cmd_features(args) -> int:
+    from scipy import ndimage
     cfg = _load_config(args)
     pre = pipeline.preprocess(pipeline.read_image(args.input), cfg)
     mask = roi.pgm_to_mask(pipeline.read_image(args.mask))

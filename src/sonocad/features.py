@@ -7,8 +7,6 @@ one gray feature (posterior attenuation coefficient), in that fixed order.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import re
 from dataclasses import dataclass
@@ -17,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .image import validate_image
-from .roi import RoiMask, centroid_radial_lengths, read_csv
+from .roi import RoiMask, centroid_radial_lengths, read_csv, write_csv
 
 _ANGLE_OFFSETS = {0: (1, 0), 45: (1, -1), 90: (0, -1), 135: (-1, -1)}
 
@@ -215,12 +213,9 @@ FEATURE_CSV_FIELDS = ["image"] + FEATURE_NAMES + ["label"]
 def write_feature_csv(rows: list[tuple[str, FeatureVector, str]]) -> str:
     """Rows of (image id, features, class label) as CSV, 12 significant
     digits per float."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(FEATURE_CSV_FIELDS)
-    for image_id, fv, label in rows:
-        writer.writerow([image_id] + [f"{v:.12g}" for v in fv.to_array().tolist()] + [label])
-    return out.getvalue()
+    return write_csv(FEATURE_CSV_FIELDS, (
+        [image_id, *(f"{v:.12g}" for v in fv.to_array().tolist()), label]
+        for image_id, fv, label in rows))
 
 
 # the characters of a row's joined values that float() may see: ASCII digits,

@@ -9,7 +9,6 @@ from __future__ import annotations
 import re
 
 import numpy as np
-from scipy import ndimage
 
 
 class PgmParseError(ValueError):
@@ -143,6 +142,7 @@ def denoise(img: np.ndarray, radius: int = 1) -> np.ndarray:
     if not 1 <= radius <= MAX_DENOISE_RADIUS:
         raise ValueError(f"radius must be >= 1 and <= {MAX_DENOISE_RADIUS}")
     if radius > 1:
+        from scipy import ndimage
         return ndimage.median_filter(img, size=2 * radius + 1, mode="nearest")
     p = np.pad(img, 1, mode="edge")
     a, b, c = p[:-2], p[1:-1], p[2:]

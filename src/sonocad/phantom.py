@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .image import write_pgm
+from .pipeline import write_file
 from .roi import CLASSES, mask_to_pgm, write_annotations
 
 
@@ -194,20 +195,10 @@ def write_dataset(cases: list[tuple[str, PhantomCase]], out_dir: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     for name, case in cases:
-        path = os.path.join(out_dir, f"{name}.pgm")
-        with open(path, "wb") as fh:
-            fh.write(write_pgm(case.image))
-        with open(os.path.join(out_dir, f"{name}_truth.pgm"), "wb") as fh:
-            fh.write(mask_to_pgm(case.truth_mask))
-        rows.append(
-            {
-                "image": f"{name}.pgm",
-                "seed_x": case.seed_x,
-                "seed_y": case.seed_y,
-                "label": "malignant" if case.label == 1 else "benign",
-            }
-        )
+        write_file(os.path.join(out_dir, f"{name}.pgm"), write_pgm(case.image))
+        write_file(os.path.join(out_dir, f"{name}_truth.pgm"), mask_to_pgm(case.truth_mask))
+        rows.append({"image": f"{name}.pgm", "seed_x": case.seed_x, "seed_y": case.seed_y,
+                     "label": "malignant" if case.label == 1 else "benign"})
     ann_path = os.path.join(out_dir, "annotations.csv")
-    with open(ann_path, "w") as fh:
-        fh.write(write_annotations(rows))
+    write_file(ann_path, write_annotations(rows))
     return ann_path

@@ -6,7 +6,7 @@ config fields become calls; ``run_pipeline`` and the CLI are built from them.
 
 from __future__ import annotations
 
-import csv
+import contextlib
 import functools
 import multiprocessing
 import os
@@ -152,27 +152,34 @@ def evaluate_cv(
     return [metrics.accumulate(pred[f], y[f]) for f in folds], metrics.roc(decisions, y)
 
 
+# every file ``run_pipeline`` writes into its out dir
+ARTIFACTS = ("features.csv", "errors.csv", "surface.csv", "model.json", "report.csv", "roc.csv")
+
+
 def run_pipeline(annotations_path: str, cfg: PipelineConfig, out_dir: str) -> dict:
     """Full run: extraction, grid search, final fit and artifacts.
 
     Writes features.csv, errors.csv (when any), surface.csv, model.json,
-    report.csv and roc.csv into ``out_dir``. The report is ``evaluate_cv`` at
-    the searched (C, gamma), the call ``sonocad evaluate`` makes. Raises
-    ``CaseFailures`` when failed cases leave a class with fewer cases than
-    folds. Deterministic.
+    report.csv and roc.csv into ``out_dir``, after removing those six names
+    left there by an earlier run; no other file in ``out_dir`` is touched.
+    The report is ``evaluate_cv`` at the searched (C, gamma), the call
+    ``sonocad evaluate`` makes. Raises ``CaseFailures`` when failed cases
+    leave a class with fewer cases than folds. Deterministic.
     """
     with open(annotations_path) as fh:
         rows = roi.read_annotations(fh.read())
     labels = [rec["label"] for rec in rows]
     _check_folds([roi.CLASSES.get(lab, 0) for lab in labels], cfg)
     os.makedirs(out_dir, exist_ok=True)
+    for name in ARTIFACTS:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, name))
     batch = extract_batch(rows, os.path.dirname(os.path.abspath(annotations_path)), cfg)
     table = feat.write_feature_csv(batch.feature_rows)
     write_file(os.path.join(out_dir, "features.csv"), table)
     if batch.errors:
-        with open(os.path.join(out_dir, "errors.csv"), "w") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerows([("case", "stage", "message"), *batch.errors])
+        write_file(os.path.join(out_dir, "errors.csv"),
+                   roi.write_csv(["case", "stage", "message"], batch.errors))
     kept = [lab for _, _, lab in batch.feature_rows]
     for lab in roi.CLASSES:
         if kept.count(lab) < cfg.folds:

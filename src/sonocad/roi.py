@@ -11,7 +11,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .image import validate_image, write_pgm
 from .slic import _FOUR_CONNECTED, SuperpixelLabeling
@@ -67,6 +66,7 @@ def grow(
     seed block and of every block within the threshold. Its boundary is traced
     clockwise.
     """
+    from scipy import ndimage
     img = validate_image(img)
     h, w = img.shape
     if threshold < 0:
@@ -232,10 +232,14 @@ def read_annotations(text: str) -> list[dict]:
     return read_csv(text, ANNOTATION_FIELDS, _parse_annotation, "annotation line")
 
 
-def write_annotations(rows: list[dict]) -> str:
+def write_csv(fields: list[str], rows) -> str:
+    """``fields`` as a header row, then ``rows``, in the one dialect of every
+    CSV the package writes with names or messages in it: "\\n" line ends and
+    quotes only where a value needs them, so ``read_csv`` reads it back."""
     out = io.StringIO()
-    writer = csv.DictWriter(out, fieldnames=ANNOTATION_FIELDS, lineterminator="\n")
-    writer.writeheader()
-    for rec in rows:
-        writer.writerow({k: rec[k] for k in ANNOTATION_FIELDS})
+    csv.writer(out, lineterminator="\n").writerows([fields, *rows])
     return out.getvalue()
+
+
+def write_annotations(rows: list[dict]) -> str:
+    return write_csv(ANNOTATION_FIELDS, ([rec[k] for k in ANNOTATION_FIELDS] for rec in rows))

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .image import to_lightness, validate_image
 
@@ -242,6 +241,7 @@ def _components(labels: np.ndarray) -> tuple[np.ndarray, int]:
     # (2h-1) x (2w-1) grid: pixel (y, x) sits at (2y, 2x), and the cell
     # between two 4-adjacent pixels is set when their labels agree.
     # ndimage.label numbers components in raster order.
+    from scipy import ndimage
     h, w = labels.shape
     grid = np.zeros((2 * h - 1, 2 * w - 1), dtype=bool)
     grid[::2, ::2] = True

@@ -1,10 +1,15 @@
+import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
+import sonocad
 from sonocad import image, phantom, pipeline, roi
 from sonocad.cli import main
 from sonocad.config import PipelineConfig
@@ -149,7 +154,7 @@ class TestPreprocess:
         def never(*args, **kwargs):
             raise AssertionError("median_filter called")
 
-        monkeypatch.setattr(image.ndimage, "median_filter", never)
+        monkeypatch.setattr(ndimage, "median_filter", never)
         src = dataset_dir / _first_case(dataset_dir)["image"]
         out = tmp_path / "pre.pgm"
         assert main(["preprocess", str(src), str(out), "--denoise-radius", "1000000"]) == 2
@@ -440,6 +445,44 @@ class TestPhantomCommand:
         assert not out.exists()
 
 
+class TestImports:
+    def test_commands_that_do_not_segment_leave_scipy_ndimage_unloaded(self, tmp_path):
+        # importing scipy.ndimage took longer than generating the README's
+        # 150-case cohort, and only segmenting and filtering use it
+        feats = tmp_path / "features.csv"
+        feats.write_text(_FEATURE_HEADER + _FEATURE_ROWS)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(PipelineConfig().override(
+            c_exponents=(0.0, 1.0, 1.0), g_exponents=(0.0, 1.0, 1.0), folds=2).to_json())
+        model = str(tmp_path / "model.json")
+        commands = [
+            ["phantom", "--benign", "2", "--malignant", "2", "--speckle", "0.03",
+             "--out-dir", str(tmp_path / "data")],
+            ["train", str(feats), "--out", model],
+            ["gridsearch", str(feats), "--config", str(cfg_path), "--out",
+             str(tmp_path / "surface.csv")],
+            ["evaluate", model, str(feats), "--config", str(cfg_path), "--out",
+             str(tmp_path / "report.csv")],
+        ]
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from sonocad.cli import main\n"
+            "seen = [['import', 0, 'scipy.ndimage' in sys.modules]]\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = main(argv)\n"
+            "    seen.append([argv[0], code, 'scipy.ndimage' in sys.modules])\n"
+            "print(json.dumps(seen))\n"
+        )
+        src = os.path.dirname(os.path.dirname(sonocad.__file__))
+        path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        done = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                              capture_output=True, text=True, env=env, check=True)
+        assert json.loads(done.stdout) == [[name, 0, False] for name in
+                                           ("import", "phantom", "train", "gridsearch", "evaluate")]
+
+
 class TestPipelineCommand:
     def _run(self, dataset_dir, out_dir, config=None):
         argv = ["pipeline", "--annotations", str(dataset_dir / "annotations.csv"),
@@ -447,6 +490,22 @@ class TestPipelineCommand:
         if config:
             argv += ["--config", str(config)]
         return main(argv)
+
+    @staticmethod
+    def _small_config(tmp_path):
+        cfg = PipelineConfig().override(
+            c_exponents=(0.0, 1.0, 1.0), g_exponents=(0.0, 1.0, 1.0), folds=2
+        )
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(cfg.to_json())
+        return cfg_path
+
+    @staticmethod
+    def _copy(dataset_dir, data):
+        data.mkdir()
+        for name in os.listdir(dataset_dir):
+            (data / name).write_bytes((dataset_dir / name).read_bytes())
+        return data
 
     def test_artifacts_written(self, dataset_dir, tmp_path, capsys):
         # shrink the lattice so the run stays fast
@@ -466,11 +525,7 @@ class TestPipelineCommand:
         assert summary["errors"] == 0
 
     def test_rerun_is_byte_identical(self, dataset_dir, tmp_path):
-        cfg = PipelineConfig().override(
-            c_exponents=(0.0, 1.0, 1.0), g_exponents=(0.0, 1.0, 1.0), folds=2
-        )
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(cfg.to_json())
+        cfg_path = self._small_config(tmp_path)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert self._run(dataset_dir, out_a, cfg_path) == 0
         assert self._run(dataset_dir, out_b, cfg_path) == 0
@@ -478,27 +533,67 @@ class TestPipelineCommand:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
     def test_missing_image_reported_and_exit_3(self, dataset_dir, tmp_path):
-        broken = tmp_path / "broken"
-        broken.mkdir()
-        ann = (dataset_dir / "annotations.csv").read_text()
-        for name in os.listdir(dataset_dir):
-            if name.endswith(".pgm"):
-                (broken / name).write_bytes((dataset_dir / name).read_bytes())
+        broken = self._copy(dataset_dir, tmp_path / "broken")
         os.remove(broken / _first_case(dataset_dir)["image"])
-        (broken / "annotations.csv").write_text(ann)
-        cfg = PipelineConfig().override(
-            c_exponents=(0.0, 1.0, 1.0), g_exponents=(0.0, 1.0, 1.0), folds=2
-        )
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(cfg.to_json())
         out = tmp_path / "run3"
-        rc = main(["pipeline", "--annotations", str(broken / "annotations.csv"),
-                   "--config", str(cfg_path), "--out-dir", str(out)])
-        assert rc == 3
+        assert self._run(broken, out, self._small_config(tmp_path)) == 3
         err_lines = (out / "errors.csv").read_text().strip().split("\n")
         assert err_lines[0] == "case,stage,message"
         assert len(err_lines) == 2
         assert ",read," in err_lines[1]
+
+    def test_errors_csv_quotes_messages(self, dataset_dir, tmp_path, monkeypatch):
+        # a message with a comma, a quote and a newline reads back as one field
+        message = 'bad seed, "far"\nout of the image'
+        first = _first_case(dataset_dir)["image"]
+        process_case = pipeline.process_case
+
+        def fail_first(img, seed_x, seed_y, cfg, name=""):
+            if name == first:
+                raise ValueError(message)
+            return process_case(img, seed_x, seed_y, cfg, name=name)
+
+        monkeypatch.setattr(pipeline, "process_case", fail_first)
+        _pin_cores(monkeypatch, 1)
+        out = tmp_path / "run"
+        assert self._run(dataset_dir, out, self._small_config(tmp_path)) == 3
+        with open(out / "errors.csv", newline="") as fh:
+            assert list(csv.reader(fh)) == [["case", "stage", "message"],
+                                            [first, "extract", message]]
+
+    def test_clean_rerun_removes_stale_errors(self, dataset_dir, tmp_path):
+        # the case that failed in the first run succeeds in the second, whose
+        # out dir once kept the first run's errors.csv naming it
+        data = self._copy(dataset_dir, tmp_path / "data")
+        first = data / _first_case(dataset_dir)["image"]
+        pgm = first.read_bytes()
+        first.unlink()
+        cfg_path = self._small_config(tmp_path)
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "notes.txt").write_text("not an artifact\n")
+        assert self._run(data, out, cfg_path) == 3
+        assert (out / "errors.csv").exists()
+        first.write_bytes(pgm)
+        assert self._run(data, out, cfg_path) == 0
+        assert sorted(os.listdir(out)) == ["features.csv", "model.json", "notes.txt",
+                                           "report.csv", "roc.csv", "surface.csv"]
+
+    def test_failed_rerun_removes_stale_model(self, dataset_dir, tmp_path, capsys):
+        # a rerun stopped by case failures once left the first run's model,
+        # surface and report beside its own shorter features.csv
+        data = self._copy(dataset_dir, tmp_path / "data")
+        cfg_path = self._small_config(tmp_path)
+        out = tmp_path / "run"
+        assert self._run(data, out, cfg_path) == 0
+        benign = [r["image"] for r in roi.read_annotations((data / "annotations.csv").read_text())
+                  if r["label"] == "benign"]
+        for name in benign[:3]:
+            os.remove(data / name)
+        assert self._run(data, out, cfg_path) == 3
+        assert "3 of 4 benign cases failed" in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == ["errors.csv", "features.csv"]
+        assert len((out / "features.csv").read_text().splitlines()) == 1 + 5
 
     @pytest.mark.parametrize("lost", [["case_0000_benign.pgm"], "all"], ids=["one", "all"])
     def test_class_left_short_by_failures_exit_3(self, tmp_path, capsys, lost):

@@ -323,6 +323,15 @@ class TestFeatureCsv:
         assert rows[0][1] == fv
         assert rows[0][2] == "benign"
 
+    def test_round_trip_quotes_names(self):
+        # a comma or a double quote in an image name is quoted, not split
+        fv = feat.FeatureVector(1.0, 0.9, 0.006, 0.02, 3.5, 0.4, 0.8, 0.1, 1.2)
+        rows = [("a, b.pgm", fv, "benign"), ('say "c".pgm', fv, "malignant")]
+        text = feat.write_feature_csv(rows)
+        assert [line.split(",1,")[0] for line in text.splitlines()[1:]] == [
+            '"a, b.pgm"', '"say ""c"".pgm"']
+        assert feat.read_feature_csv(text) == rows
+
     def test_header(self):
         text = feat.write_feature_csv([])
         assert text.splitlines()[0] == (

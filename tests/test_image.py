@@ -218,7 +218,7 @@ class TestDenoise:
         def never(*args, **kwargs):
             raise AssertionError("median_filter called")
 
-        monkeypatch.setattr(image.ndimage, "median_filter", never)
+        monkeypatch.setattr(ndimage, "median_filter", never)
         with pytest.raises(ValueError, match="radius"):
             image.denoise(np.zeros((8, 8), dtype=np.uint8), radius)
 

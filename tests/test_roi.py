@@ -418,6 +418,16 @@ class TestAnnotations:
         ]
         assert roi.read_annotations(roi.write_annotations(rows)) == rows
 
+    def test_round_trip_quotes_names(self):
+        # a comma or a double quote in an image name is quoted, not split
+        rows = [
+            {"image": 'a, b.pgm', "seed_x": 3, "seed_y": 4, "label": "benign"},
+            {"image": 'say "c".pgm', "seed_x": 9, "seed_y": 1, "label": "malignant"},
+        ]
+        text = roi.write_annotations(rows)
+        assert text.splitlines()[1:] == ['"a, b.pgm",3,4,benign', '"say ""c"".pgm",9,1,malignant']
+        assert roi.read_annotations(text) == rows
+
     def test_bad_label_rejected(self):
         text = "image,seed_x,seed_y,label\na.pgm,1,2,weird\n"
         with pytest.raises(ValueError):
