@@ -141,10 +141,8 @@ def _assign(
     dx2 = (np.arange(w, dtype=np.float64) - centers[:, 1:2]) ** 2
     dy2 = (np.arange(h, dtype=np.float64) - centers[:, 2:3]) ** 2
     reach = SEARCH_REACH * s  # search half-width per center
-    x0s = np.maximum(0, np.floor(centers[:, 1] - reach)).astype(int).tolist()
-    x1s = np.minimum(w, np.ceil(centers[:, 1] + reach) + 1).astype(int).tolist()
-    y0s = np.maximum(0, np.floor(centers[:, 2] - reach)).astype(int).tolist()
-    y1s = np.minimum(h, np.ceil(centers[:, 2] + reach) + 1).astype(int).tolist()
+    x0s, y0s = np.maximum(0, np.floor(centers[:, 1:] - reach)).astype(int).T.tolist()
+    x1s, y1s = np.minimum((w, h), np.ceil(centers[:, 1:] + reach) + 1).astype(int).T.tolist()
     ss = s * s
     dist = np.full((h, w), np.inf)
     labels = np.full((h, w), -1, dtype=np.int32)
@@ -203,7 +201,8 @@ def slic(
     centers = seed_grid(l_plane, max(1.0, s))
 
     codes = img.astype(np.intp)
-    xs, ys = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
+    k = len(centers)
+    ys, xs = np.indices((h, w), dtype=np.float64).reshape(2, -1)
     passes = []
 
     while True:
@@ -212,13 +211,24 @@ def slic(
         if len(passes) == MAX_ITERS:
             break  # the last pass's center update would go unused
 
+        # Pixel counts and x, y sums are integers, exact in any order, so
+        # after pass 1 they follow the pixels that changed label. Lightness
+        # sums depend on the order of float additions: one scan each pass.
         flat = labels.ravel()
-        counts = np.bincount(flat, minlength=len(centers))
+        if len(passes) == 1:
+            tally = np.stack([np.bincount(flat, wts, minlength=k) for wts in (None, xs, ys)])
+        else:
+            moved = np.flatnonzero(flat != prev)
+            came, gone = flat[moved], prev[moved]
+            for row, wts in zip(tally, (None, xs[moved], ys[moved])):
+                row += np.bincount(came, wts, minlength=k)
+                row -= np.bincount(gone, wts, minlength=k)
+        prev = flat
+        counts = tally[0]
         nonempty = counts > 0
         new_centers = centers.copy()  # empty clusters keep their coordinates
-        for j, plane in enumerate((l_plane, xs, ys)):
-            sums = np.bincount(flat, weights=plane.ravel(), minlength=len(centers))
-            new_centers[nonempty, j] = sums[nonempty] / counts[nonempty]
+        sums = np.vstack([np.bincount(flat, l_plane.ravel(), minlength=k), tally[1:]])
+        new_centers[nonempty] = (sums[:, nonempty] / counts[nonempty]).T
         disp = np.sqrt(((new_centers[nonempty, 1:] - centers[nonempty, 1:]) ** 2).sum(axis=1))
         centers = new_centers
         if float(disp.mean()) <= CONV_EPS:
@@ -256,18 +266,21 @@ def _neighbour_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     # Distinct (a, b) with a != b 4-adjacent somewhere in ``ids`` (values in
     # [0, n)), each pair in both directions, sorted by a then b; with a bool
-    # mask ``source`` over [0, n), only the pairs whose a it marks.
-    a = np.concatenate([ids[:, :-1].ravel(), ids[:-1, :].ravel()]).astype(np.int64)
-    b = np.concatenate([ids[:, 1:].ravel(), ids[1:, :].ravel()]).astype(np.int64)
-    diff = a != b
-    a, b = a[diff], b[diff]
-    a, b = np.concatenate([a, b]), np.concatenate([b, a])
-    if source is not None:
-        keep = source[a]
-        a, b = a[keep], b[keep]
+    # mask ``source`` over [0, n), only the pairs whose a it marks. Built from
+    # the pixels of the marked ids alone: None marks every id.
+    h, w = ids.shape
+    flat = ids.ravel().astype(np.int64)
+    pix = np.arange(flat.size) if source is None else np.flatnonzero(source.take(flat))
+    y, x = np.divmod(pix, w)
+    a, b = [], []
+    for inside, step in ((x < w - 1, 1), (x > 0, -1), (y < h - 1, w), (y > 0, -w)):
+        p = pix[inside]
+        a.append(flat.take(p))
+        b.append(flat.take(p + step))
+    a, b = np.concatenate(a), np.concatenate(b)
     # sort, then keep each key that differs from its predecessor: np.unique's
     # result without its slower path
-    keys = np.sort(a * n + b)
+    keys = np.sort(np.compress(a != b, a * n + b))
     first = np.ones(len(keys), dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
     keys = keys[first]
@@ -334,4 +347,4 @@ def _enforce_connectivity(labels: np.ndarray, min_size: int) -> np.ndarray:
             current[cid] = best
             area[best] += size_of[cid]
         pending = deferred
-    return _drop_empty(np.array(current, dtype=np.int32)[comp])
+    return _drop_empty(np.array(current, dtype=np.int32))[comp]

@@ -358,19 +358,39 @@ class TestEnforceConnectivityMatchesOracle:
         check()
         assert min(reached.values()) > 0, reached
 
-    @given(st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_neighbour_pairs_source_mask(self, data):
-        h = data.draw(st.integers(1, 12), label="h")
-        w = data.draw(st.integers(1, 12), label="w")
-        n = data.draw(st.integers(1, 8), label="n")
-        ids = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=h * w, max_size=h * w)))
-        ids = ids.reshape(h, w)
-        source = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-        src, dst = _neighbour_pairs(ids, n)
-        keep = source[src]
-        got_src, got_dst = _neighbour_pairs(ids, n, source)
-        assert np.array_equal(got_src, src[keep]) and np.array_equal(got_dst, dst[keep])
+    def test_neighbour_pairs_source_mask(self):
+        # both calls, with and without a source mask, against a set of the
+        # distinct 4-adjacent id pairs built pixel by pixel
+        def oracle(ids, source):
+            h, w = ids.shape
+            pairs = set()
+            for y in range(h):
+                for x in range(w):
+                    for ny, nx in ((y, x + 1), (y, x - 1), (y + 1, x), (y - 1, x)):
+                        if 0 <= ny < h and 0 <= nx < w and ids[y, x] != ids[ny, nx]:
+                            pairs.add((int(ids[y, x]), int(ids[ny, nx])))
+            return sorted(p for p in pairs if source is None or source[p[0]])
+
+        def compare(ids, n, source):
+            for mask in (None, source):
+                src, dst = _neighbour_pairs(ids, n, mask)
+                assert src.dtype == dst.dtype == np.int64
+                assert list(zip(src.tolist(), dst.tolist())) == oracle(ids, mask)
+
+        @given(st.data())
+        @settings(max_examples=150, deadline=None)
+        def check(data):
+            h = data.draw(st.integers(1, 12), label="h")
+            w = data.draw(st.integers(1, 12), label="w")
+            n = data.draw(st.integers(1, 8), label="n")
+            ids = data.draw(st.lists(st.integers(0, n - 1), min_size=h * w, max_size=h * w))
+            source = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+            compare(np.array(ids).reshape(h, w), n, source)
+
+        line = np.array([[0, 1, 1, 2, 0, 3]])
+        for ids in (line, line.T):  # one row, one column
+            compare(ids, 4, np.array([True, False, True, False]))
+        check()
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -477,8 +497,10 @@ def _oracle_slic(img, params=None, enforce=True):
 
     xs, ys = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
     max_offset = 0.0
+    pass_centers = []  # the centers each pass assigned with
 
     for _ in range(10):  # Achanta et al.: ten iterations at compactness 10
+        pass_centers.append(centers)
         labels, off, _ = _oracle_assign(l_plane, centers, s, 10.0)
         if off is not None:
             max_offset = max(max_offset, off)
@@ -504,7 +526,22 @@ def _oracle_slic(img, params=None, enforce=True):
     labels = _drop_empty(labels)
     if enforce:
         labels = _enforce_connectivity(labels, min_size=round(s) ** 2 // 4)
-    return labels, s, max_offset
+    return labels, s, max_offset, pass_centers
+
+
+def _compare_with_oracle(img, params, enforce):
+    labels, step, offset, pass_centers = _oracle_slic(img, params, enforce)
+    got = slic(img, params, enforce)
+    assert got.labels.dtype == labels.dtype
+    assert np.array_equal(got.labels, labels)
+    assert got.step == step
+    assert got.max_assign_offset == offset
+    # every pass assigned with the oracle's centers, bit for bit
+    assert len(got.passes) == len(pass_centers)
+    for (_, _, centers), expected in zip(got.passes, pass_centers):
+        assert centers.dtype == expected.dtype
+        assert np.array_equal(centers, expected)
+    return got
 
 
 class TestAssignmentMatchesOracle:
@@ -516,14 +553,34 @@ class TestAssignmentMatchesOracle:
         # a ramp through all 256 grey levels reaches both ends of the colour table
         ramp = np.arange(256, dtype=np.uint8).reshape(16, 16)
         for pre in [image.preprocess(case.image) for _, case in cases] + [ramp]:
-            labels, step, offset = _oracle_slic(pre, params, enforce)
-            got = slic(pre, params, enforce)
-            assert got.labels.dtype == labels.dtype
-            assert np.array_equal(got.labels, labels)
-            assert got.step == step
-            assert got.max_assign_offset == offset
+            got = _compare_with_oracle(pre, params, enforce)
             # the 2S x 2S window: S on each side, +1 for the integer bounds
-            assert got.max_assign_offset <= step + 1
+            assert got.max_assign_offset <= got.step + 1
+
+    def test_random_images_bit_identical(self):
+        # Up to one cluster per pixel, clusters empty and refill between
+        # passes, so the count and coordinate sums kept from the pixels that
+        # changed label see every transition; the test checks that a refill
+        # was reached.
+        reached = {"refill": 0}
+
+        @given(st.data())
+        @settings(max_examples=100, deadline=None)
+        def check(data):
+            h = data.draw(st.integers(1, 10), label="h")
+            w = data.draw(st.integers(1, 10), label="w")
+            vals = data.draw(st.lists(st.integers(0, 255), min_size=h * w, max_size=h * w))
+            img = np.array(vals, dtype=np.uint8).reshape(h, w)
+            params = SlicParams(data.draw(st.integers(1, h * w), label="n_segments"))
+            got = _compare_with_oracle(img, params, data.draw(st.booleans(), label="enforce"))
+            k = len(got.passes[0][2])
+            # the passes whose labels fed a center update: all but the last
+            counts = np.array([np.bincount(p[0].ravel(), minlength=k) for p in got.passes[:-1]])
+            emptied = np.maximum.accumulate(counts == 0, axis=0)
+            reached["refill"] += int((emptied[:-1] & (counts[1:] > 0)).any())
+
+        check()
+        assert reached["refill"] > 0, reached
 
     def test_hand_placed_centers_bit_identical(self):
         # Examples are drawn with hypothesis; random images alone never leave
