@@ -185,13 +185,14 @@ def slic(
 ) -> SuperpixelLabeling:
     """Cluster the image into superpixels and enforce label connectivity.
 
-    ``enforce=False`` returns the raw converged assignment, where every pixel
-    is within the 2S x 2S search window of its center but labels may still be
-    fragmented. No pipeline stage uses it; it stays because it is the one way
-    to see the assignment that connectivity enforcement starts from: the
-    benchmark times enforcement as the difference of the two calls and counts
-    the raw fragments, and the tests check enforcement against an oracle on
-    those labels.
+    Per label the largest 4-connected component keeps it, other components
+    of at least round(S)^2 // 4 pixels become new labels, and each smaller
+    fragment takes Achanta et al.'s adjacent label: that of the pixel above
+    its first pixel, or to its left on the top row.
+
+    ``enforce=False`` returns the raw converged assignment, whose labels may
+    still be fragmented. No pipeline stage uses it; the benchmark and the
+    tests' enforcement oracle start from it.
     """
     img = validate_image(img)
     params = params or SlicParams()
@@ -261,32 +262,6 @@ def _components(labels: np.ndarray) -> tuple[np.ndarray, int]:
     return comp[::2, ::2] - 1, n
 
 
-def _neighbour_pairs(
-    ids: np.ndarray, n: int, source: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    # Distinct (a, b) with a != b 4-adjacent somewhere in ``ids`` (values in
-    # [0, n)), each pair in both directions, sorted by a then b; with a bool
-    # mask ``source`` over [0, n), only the pairs whose a it marks. Built from
-    # the pixels of the marked ids alone: None marks every id.
-    h, w = ids.shape
-    flat = ids.ravel().astype(np.int64)
-    pix = np.arange(flat.size) if source is None else np.flatnonzero(source.take(flat))
-    y, x = np.divmod(pix, w)
-    a, b = [], []
-    for inside, step in ((x < w - 1, 1), (x > 0, -1), (y < h - 1, w), (y > 0, -w)):
-        p = pix[inside]
-        a.append(flat.take(p))
-        b.append(flat.take(p + step))
-    a, b = np.concatenate(a), np.concatenate(b)
-    # sort, then keep each key that differs from its predecessor: np.unique's
-    # result without its slower path
-    keys = np.sort(np.compress(a != b, a * n + b))
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    keys = keys[first]
-    return keys // n, keys % n
-
-
 def _enforce_connectivity(labels: np.ndarray, min_size: int) -> np.ndarray:
     """Make every label's pixel set one 4-connected component.
 
@@ -296,19 +271,19 @@ def _enforce_connectivity(labels: np.ndarray, min_size: int) -> np.ndarray:
     ``min_size`` pixels becomes a new label, numbered from ``labels.max() + 1``
     in order of (original label, size descending, first pixel).
 
-    The remaining fragments merge in rounds. A round visits the pending
-    fragments in scan order of their first pixel; each one takes, among the
-    current labels of its 4-adjacent pixels, the one with the largest
-    current area (ties: the lower label), and that label's area grows by the
-    fragment's size at once, so later visits in the round see it. A fragment
-    with no labelled neighbour yet waits for the next round. Labels are
-    renumbered densely at the end, keeping their order. ``_components``
-    numbers components in first-pixel scan order, so these orders are id orders.
+    Each remaining fragment takes Achanta et al.'s adjacent label: the final
+    label of the pixel above its first pixel, or to its left on the top row.
+    A fragment holding pixel (0, 0) has no such neighbour and becomes the
+    last new label. Labels are renumbered densely at the end, keeping their
+    order.
     """
     comp, n_comp = _components(labels)
-    sizes = np.bincount(comp.ravel(), minlength=n_comp)
-    comp_label = np.empty(n_comp, dtype=np.int64)
-    comp_label[comp.ravel()] = labels.ravel()
+    flat = comp.ravel()
+    sizes = np.bincount(flat, minlength=n_comp)
+    # ndimage.label numbers components in raster order, so the running
+    # maximum of the ids steps up by one exactly at each first pixel
+    first = np.flatnonzero(np.diff(np.maximum.accumulate(flat), prepend=-1))
+    comp_label = labels.ravel().take(first)
 
     ranked = np.lexsort((-sizes, comp_label))  # stable: ties stay in id order
     is_kept = np.ones(n_comp, dtype=bool)
@@ -319,32 +294,14 @@ def _enforce_connectivity(labels: np.ndarray, min_size: int) -> np.ndarray:
     final = np.full(n_comp, -1, dtype=np.int64)  # -1 = pending merge
     final[kept] = comp_label[kept]
     final[promoted] = np.arange(next_label, next_label + len(promoted))
+    if final[0] < 0:
+        final[0] = next_label + len(promoted)
 
-    # adjacency of the pending fragments in CSR form: the neighbours of a
-    # pending c are dst[ptr[c]:ptr[c + 1]]
-    labelled = final >= 0
-    src, dst = _neighbour_pairs(comp, n_comp, ~labelled)
-    ptr = np.searchsorted(src, np.arange(n_comp + 1)).tolist()
-    dst = dst.tolist()
-    area = np.bincount(
-        final[labelled], weights=sizes[labelled], minlength=next_label + len(promoted)
-    ).astype(np.int64).tolist()
-    current = final.tolist()
-    size_of = sizes.tolist()
-    pending = np.nonzero(~labelled)[0].tolist()
-    # The pixel grid is connected and every label keeps a component, so some
-    # pending fragment touches a labelled one: each round merges at least one
-    # fragment and the loop ends.
-    while pending:
-        deferred = []
-        for cid in pending:
-            cand = {current[d] for d in dst[ptr[cid] : ptr[cid + 1]]}
-            cand.discard(-1)
-            if not cand:
-                deferred.append(cid)
-                continue
-            best = cand.pop() if len(cand) == 1 else min(cand, key=lambda lab: (-area[lab], lab))
-            current[cid] = best
-            area[best] += size_of[cid]
-        pending = deferred
-    return _drop_empty(np.array(current, dtype=np.int32))[comp]
+    # The pixel above a first pixel (left of it on the top row) comes earlier
+    # in raster order, so its component has a smaller id: each step resolves
+    # one more level of every chain, and id 0 is labelled.
+    w = labels.shape[1]
+    parent = flat.take(np.where(first >= w, first - w, first - 1))
+    while final.min() < 0:
+        final = np.where(final < 0, final[parent], final)
+    return _drop_empty(final.astype(np.int32))[comp]

@@ -14,7 +14,6 @@ from sonocad.slic import (
     SlicParams,
     SuperpixelLabeling,
     _drop_empty,
-    _neighbour_pairs,
     slic,
 )
 
@@ -121,9 +120,11 @@ def adjacency(labeling: SuperpixelLabeling | np.ndarray) -> dict[int, set[int]]:
     labels = labeling.labels if isinstance(labeling, SuperpixelLabeling) else labeling
     k = int(labels.max()) + 1
     neigh: dict[int, set[int]] = {i: set() for i in range(k)}
-    src, dst = _neighbour_pairs(labels, k)
-    for u, v in zip(src.tolist(), dst.tolist()):
-        neigh[u].add(v)
+    for a, b in ((labels[:, :-1], labels[:, 1:]), (labels[:-1], labels[1:])):
+        for u, v in zip(a.ravel().tolist(), b.ravel().tolist()):
+            if u != v:
+                neigh[u].add(v)
+                neigh[v].add(u)
     return neigh
 
 
