@@ -30,7 +30,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 # config fields that a stage flag can set; each flag's dest is the field name
-_FLAG_FIELDS = ("denoise_radius", "n_segments", "grow_threshold", "svm_c", "svm_gamma", "folds")
+_FLAG_FIELDS = ("n_segments", "grow_threshold", "svm_c", "svm_gamma", "folds")
 
 
 def _load_config(args) -> PipelineConfig:
@@ -43,8 +43,8 @@ def _load_config(args) -> PipelineConfig:
 
 
 def cmd_preprocess(args) -> int:
-    cfg = _load_config(args)
-    out = pipeline.preprocess(pipeline.read_image(args.input), cfg)
+    _load_config(args)  # a bad document exits 2, as in every stage
+    out = image.preprocess(pipeline.read_image(args.input))
     pipeline.write_file(args.output, image.write_pgm(out))
     return EXIT_OK
 
@@ -56,7 +56,7 @@ def cmd_segment(args) -> int:
         print(f"error: bad --seed {args.seed!r}, expected X,Y", file=sys.stderr)
         return EXIT_USAGE
     cfg = _load_config(args)
-    pre = pipeline.preprocess(pipeline.read_image(args.input), cfg)
+    pre = image.preprocess(pipeline.read_image(args.input))
     mask = pipeline.segment(pre, sx, sy, cfg)
     pipeline.write_file(args.out_mask, roi.mask_to_pgm(mask.mask))
     pipeline.write_file(args.out_contour, roi.boundary_to_text(mask.boundary))
@@ -65,8 +65,8 @@ def cmd_segment(args) -> int:
 
 def cmd_features(args) -> int:
     from scipy import ndimage
-    cfg = _load_config(args)
-    pre = pipeline.preprocess(pipeline.read_image(args.input), cfg)
+    _load_config(args)
+    pre = image.preprocess(pipeline.read_image(args.input))
     mask = roi.pgm_to_mask(pipeline.read_image(args.mask))
     _, n_regions = ndimage.label(mask, structure=np.ones((3, 3)))
     if n_regions != 1:  # the boundary trace follows one region only
@@ -142,7 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = stage("preprocess", "equalize + denoise an image")
     p.add_argument("input"); p.add_argument("output")
-    p.add_argument("--denoise-radius", type=int, default=None, help="0 skips the median filter")
     p.set_defaults(func=cmd_preprocess)
 
     p = stage("segment", "extract the ROI from a seed point")

@@ -6,20 +6,15 @@ import json
 from dataclasses import asdict, dataclass, fields, replace
 from typing import get_args, get_origin, get_type_hints
 
-from .image import MAX_DENOISE_RADIUS
 from .slic import SlicParams
-from .svm import DEFAULT_EXPONENTS, KernelSpec, exponent_lattice, finite_number
-
-CONFIG_VERSION = 1  # the document's format: to_json writes it, from_json requires it
+from .svm import DEFAULT_EXPONENTS, KernelSpec, exponent_lattice, finite_number, read_document
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    # preprocessing; denoise_radius 0 skips the median filter
-    denoise_radius: int = 1
-    # superpixels; the other SLIC, GLCM and posterior settings are constants:
-    # slic.COMPACTNESS, MAX_ITERS and CONV_EPS, features.GlcmSpec and
-    # features.POSTERIOR_FRACTION
+    # superpixels; the other settings are fixed: preprocessing's 3x3 median
+    # (image.denoise), slic.COMPACTNESS, MAX_ITERS and CONV_EPS,
+    # features.GlcmSpec and features.POSTERIOR_FRACTION
     n_segments: int = 50
     # region growing; None = 0.15 x intensity range of the preprocessed image
     grow_threshold: float | None = None
@@ -47,8 +42,6 @@ class PipelineConfig:
             except ValueError as exc:
                 raise ValueError(f"config field {name}: {exc}") from None
         for name, ok, rule in [
-            ("denoise_radius", 0 <= self.denoise_radius <= MAX_DENOISE_RADIUS,
-             f">= 0 (0 skips the filter) and <= {MAX_DENOISE_RADIUS}"),
             ("svm_c", self.svm_c > 0, "> 0"),
             ("grow_threshold", self.grow_threshold is None or self.grow_threshold >= 0, ">= 0"),
             ("folds", self.folds >= 2, ">= 2"),
@@ -58,16 +51,11 @@ class PipelineConfig:
                 raise ValueError(f"config field {name}: must be {rule}")
 
     def to_json(self) -> str:
-        return json.dumps({"version": CONFIG_VERSION, **asdict(self)}, indent=2) + "\n"
+        return json.dumps({"version": 1, **asdict(self)}, indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "PipelineConfig":
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ValueError("config must be a JSON object")
-        version = data.pop("version", None)
-        if type(version) is not int or version != CONFIG_VERSION:  # not a bool, not 1.0
-            raise ValueError(f"unsupported config version {version!r}")
+        data = read_document(text, "config")
         known = {f for f in cls.__dataclass_fields__}
         extra = set(data) - known
         if extra:

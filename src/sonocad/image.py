@@ -119,31 +119,17 @@ def histogram_equalize(img: np.ndarray) -> np.ndarray:
     return lut[img]
 
 
-# scipy's edge-clamped median filter allocates offset tables that grow with
-# the window: on a 160 x 160 image about 20 MB at radius 20 and 100 MB at 30,
-# and radius 80 runs out of a 3 GB address space. 20, a 41 x 41 window, is far
-# past any despeckling window the chain uses.
-MAX_DENOISE_RADIUS = 20
-
-
 def _median3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
 
 
-def denoise(img: np.ndarray, radius: int = 1) -> np.ndarray:
-    """Median filter over a (2*radius+1)^2 window with edge-clamped sampling.
-
-    Radius 1 uses Paeth's exact 3x3 min/max network (Graphics Gems, 1990):
-    sort each vertical triple into low <= mid <= high, and the median is the
-    median of the largest of three lows, the median of three mids and the
-    smallest of three highs. Larger radii use scipy's rank filter.
+def denoise(img: np.ndarray) -> np.ndarray:
+    """3x3 median filter with edge-clamped sampling, by Paeth's exact min/max
+    network (Graphics Gems, 1990): sort each vertical triple into low <= mid
+    <= high, and the median is the median of the largest of three lows, the
+    median of three mids and the smallest of three highs.
     """
     img = validate_image(img)
-    if not 1 <= radius <= MAX_DENOISE_RADIUS:
-        raise ValueError(f"radius must be >= 1 and <= {MAX_DENOISE_RADIUS}")
-    if radius > 1:
-        from scipy import ndimage
-        return ndimage.median_filter(img, size=2 * radius + 1, mode="nearest")
     p = np.pad(img, 1, mode="edge")
     a, b, c = p[:-2], p[1:-1], p[2:]
     low, high = np.minimum(a, b), np.maximum(a, b)
@@ -168,9 +154,6 @@ def to_lightness(img: np.ndarray) -> np.ndarray:
     return img.astype(np.float64) * (100.0 / 255.0)
 
 
-def preprocess(img: np.ndarray, denoise_radius: int = 1) -> np.ndarray:
-    """Equalize, then median-denoise; ``denoise_radius=0`` skips the filter."""
-    out = histogram_equalize(img)
-    if denoise_radius != 0:
-        out = denoise(out, denoise_radius)
-    return out
+def preprocess(img: np.ndarray) -> np.ndarray:
+    """Equalize, then take the 3x3 median."""
+    return denoise(histogram_equalize(img))

@@ -1,6 +1,6 @@
 """End-to-end orchestration: annotated images in, evaluation report out.
 
-The stage functions (``preprocess`` to ``evaluate_cv``) are the one place where
+The stage functions (``segment`` to ``evaluate_cv``) are the one place where
 config fields become calls; ``run_pipeline`` and the CLI are built from them.
 """
 
@@ -42,10 +42,6 @@ class CaseResult:
     features: feat.FeatureVector
 
 
-def preprocess(img: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
-    return image.preprocess(img, cfg.denoise_radius)
-
-
 def segment(pre: np.ndarray, seed_x: int, seed_y: int, cfg: PipelineConfig) -> roi.RoiMask:
     """The ROI grown from the seed over the superpixels of the preprocessed
     image."""
@@ -58,7 +54,7 @@ def process_case(
     img: np.ndarray, seed_x: int, seed_y: int, cfg: PipelineConfig, name: str = ""
 ) -> CaseResult:
     """Preprocess, segment from the seed, and extract the feature vector."""
-    pre = preprocess(img, cfg)
+    pre = image.preprocess(img)
     mask = segment(pre, seed_x, seed_y, cfg)
     return CaseResult(name=name, roi_mask=mask, features=feat.extract_all(pre, mask))
 

@@ -429,6 +429,22 @@ def grid_search(
     return GridSearchResult(cs[i], gammas[j], float(acc[i, j]), surface)
 
 
+def read_document(text: str, what: str) -> dict:
+    """The JSON object of a versioned ``what`` document (a config or a model),
+    without its version; ValueError unless it is an object of the int version
+    1, or if it is nested too deeply to parse."""
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} is nested too deeply") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    version = data.pop("version", None)
+    if type(version) is not int or version != 1:  # not a bool, not 1.0
+        raise ValueError(f"unsupported {what} version {version!r}")
+    return data
+
+
 def model_to_json(clf: SmoSVC) -> str:
     """Fixed-field-order JSON persistence of a fitted, min-max normalized model."""
     if clf.support_vectors_ is None:
@@ -472,12 +488,7 @@ def model_from_json(text: str) -> SmoSVC:
     kernel, a bool or non-finite number, ragged support vectors, an alpha
     count or norm vector that does not fit them) raises ``ValueError``; keys
     it does not use are ignored."""
-    payload = json.loads(text)
-    if not isinstance(payload, dict):
-        raise ValueError("model must be a JSON object")
-    version = payload.get("version")
-    if type(version) is not int or version != 1:  # not a bool, not 1.0
-        raise ValueError(f"unsupported model version {version!r}")
+    payload = read_document(text, "model")
     try:
         kernel = payload["kernel"]
         clf = SmoSVC(c=payload["c"], kernel=kernel["kind"], gamma=kernel["gamma"])

@@ -7,7 +7,6 @@ import sys
 
 import numpy as np
 import pytest
-from scipy import ndimage
 
 import sonocad
 from sonocad import image, phantom, pipeline, roi
@@ -33,6 +32,9 @@ def _first_case(dataset_dir):
     rows = roi.read_annotations((dataset_dir / "annotations.csv").read_text())
     return rows[0]
 
+
+# 100,000 nested arrays, deeper than json.loads can recurse
+_DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
 _FEATURE_HEADER = "image,ar,rd,cp,rg,cr,energy,homogeneity,correlation,ac,label\n"
 # ten rows train and gridsearch accept, so a row added to them is the only defect
@@ -132,34 +134,24 @@ class TestPreprocess:
         img = image.read_pgm(out.read_bytes())
         assert img.shape == (160, 160)
 
-    def test_denoise_radius_zero_skips_median(self, dataset_dir, tmp_path):
+    def test_one_setting_with_or_without_config(self, dataset_dir, tmp_path, capsys):
         src = dataset_dir / _first_case(dataset_dir)["image"]
-        raw = image.read_pgm(src.read_bytes())
+        want = image.denoise(image.histogram_equalize(image.read_pgm(src.read_bytes())))
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(PipelineConfig(denoise_radius=0).to_json())
-        by_flag, by_config = tmp_path / "flag.pgm", tmp_path / "config.pgm"
-        assert main(["preprocess", str(src), str(by_flag), "--denoise-radius", "0"]) == 0
+        cfg_path.write_text(PipelineConfig().to_json())
+        plain, by_config = tmp_path / "plain.pgm", tmp_path / "config.pgm"
+        assert main(["preprocess", str(src), str(plain)]) == 0
         assert main(["preprocess", str(src), str(by_config), "--config", str(cfg_path)]) == 0
-        equalized = image.histogram_equalize(raw)
-        assert np.array_equal(image.read_pgm(by_flag.read_bytes()), equalized)
-        assert by_config.read_bytes() == by_flag.read_bytes()
-        # the flag wins over the file
-        assert main(["preprocess", str(src), str(by_flag), "--config", str(cfg_path),
-                     "--denoise-radius", "1"]) == 0
-        assert np.array_equal(image.read_pgm(by_flag.read_bytes()),
-                              image.denoise(equalized, 1))
-
-    def test_denoise_radius_past_bound_exit_2(self, dataset_dir, tmp_path, monkeypatch, capsys):
-        # the filter's memory grows with the window, so it is never called
-        def never(*args, **kwargs):
-            raise AssertionError("median_filter called")
-
-        monkeypatch.setattr(ndimage, "median_filter", never)
-        src = dataset_dir / _first_case(dataset_dir)["image"]
-        out = tmp_path / "pre.pgm"
-        assert main(["preprocess", str(src), str(out), "--denoise-radius", "1000000"]) == 2
+        assert np.array_equal(image.read_pgm(plain.read_bytes()), want)
+        assert by_config.read_bytes() == plain.read_bytes()
+        # the median runs at one setting, and the flag and field that set it are gone
+        out = tmp_path / "off.pgm"
+        assert main(["preprocess", str(src), str(out), "--denoise-radius", "0"]) == 1
+        assert "unrecognized arguments: --denoise-radius 0" in capsys.readouterr().err
+        cfg_path.write_text('{"version": 1, "denoise_radius": 1}')
+        assert main(["preprocess", str(src), str(out), "--config", str(cfg_path)]) == 2
+        assert "error: unknown config fields ['denoise_radius']" in capsys.readouterr().err
         assert not out.exists()
-        assert "error: config field denoise_radius" in capsys.readouterr().err
 
 
 class TestSegment:
@@ -351,7 +343,8 @@ class TestStagesMatchPipeline:
                      "--out", str(tmp / "short.csv")]) == 2
         assert "error: 4 benign rows, too few for 5 folds" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("model", ["[1, 2]", '{"version": 1}'], ids=["array", "no-fields"])
+    @pytest.mark.parametrize("model", ["[1, 2]", '{"version": 1}', _DEEP_JSON],
+                             ids=["array", "no-fields", "deeply-nested"])
     def test_bad_model_is_parse_error(self, run, model):
         tmp, _, out = run
         path = tmp / "bad_model.json"
@@ -448,7 +441,7 @@ class TestPhantomCommand:
 class TestImports:
     def test_commands_that_do_not_segment_leave_scipy_ndimage_unloaded(self, tmp_path):
         # importing scipy.ndimage took longer than generating the README's
-        # 150-case cohort, and only segmenting and filtering use it
+        # 150-case cohort, and only segmenting uses it
         feats = tmp_path / "features.csv"
         feats.write_text(_FEATURE_HEADER + _FEATURE_ROWS)
         cfg_path = tmp_path / "cfg.json"
@@ -458,6 +451,8 @@ class TestImports:
         commands = [
             ["phantom", "--benign", "2", "--malignant", "2", "--speckle", "0.03",
              "--out-dir", str(tmp_path / "data")],
+            ["preprocess", str(tmp_path / "data" / "case_0000_benign.pgm"),
+             str(tmp_path / "pre.pgm"), "--config", str(cfg_path)],
             ["train", str(feats), "--out", model],
             ["gridsearch", str(feats), "--config", str(cfg_path), "--out",
              str(tmp_path / "surface.csv")],
@@ -480,7 +475,8 @@ class TestImports:
         done = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
                               capture_output=True, text=True, env=env, check=True)
         assert json.loads(done.stdout) == [[name, 0, False] for name in
-                                           ("import", "phantom", "train", "gridsearch", "evaluate")]
+                                           ("import", "phantom", "preprocess", "train",
+                                            "gridsearch", "evaluate")]
 
 
 class TestPipelineCommand:
@@ -697,13 +693,14 @@ class TestPipelineCommand:
          ('{"version": 1, "g_exponents": [-1, NaN, 1]}', "config field g_exponents"),
          ('{"version": 1, "svm_gamma": Infinity}', "config field svm_gamma"),
          ('{"version": 1, "seed": -1}', "config field seed: must be >= 0"),
-         ('{"version": 1, "denoise_radius": 300}', "config field denoise_radius"),
-         ('{"version": 1, "denoise_radius": 21}', "config field denoise_radius"),
+         ('{"version": 1, "denoise_radius": 300}', "unknown config fields ['denoise_radius']"),
+         ('{"version": 1, "denoise_radius": 21}', "unknown config fields ['denoise_radius']"),
          ('{"version": 1, "svm_gamma": 0}', "config field svm_gamma: rbf gamma must be"),
          ('{"version": 1, "n_segments": 0}',
           "config field n_segments: n_segments must be >= 1"),
          ('{"version": true}', "error: unsupported config version True"),
-         ('{"version": 1.0}', "error: unsupported config version 1.0")],
+         ('{"version": 1.0}', "error: unsupported config version 1.0"),
+         (_DEEP_JSON, "error: config is nested too deeply")],
         ids=["not-an-object", "string-for-int", "two-exponents", "removed-field", "one-fold",
              "unsupported-angle", "reversed-exponents", "negative-unsharp", "unsharp-radius-0",
              "zero-posterior-fraction", "infinite-exponent", "nan-compactness", "nan-gamma",
@@ -712,7 +709,7 @@ class TestPipelineCommand:
              "removed-unsharp-amount", "removed-unsharp-radius", "nan-exponent",
              "infinite-gamma", "negative-seed", "huge-denoise-radius",
              "denoise-radius-past-bound", "zero-gamma", "zero-segments", "bool-version",
-             "float-version"],
+             "float-version", "deeply-nested"],
     )
     def test_bad_config_exit_2_before_extraction(
         self, dataset_dir, tmp_path, monkeypatch, capsys, doc, message
@@ -731,11 +728,11 @@ class TestPipelineCommand:
         # the config is at fault, not the 4 + 4 cases, too few for the 5 default folds
         assert "too few for" not in err
 
-    # the seven fields PipelineConfig.to_json wrote before the SLIC, GLCM and
-    # posterior settings became fixed, at the values it wrote
-    REMOVED = {"compactness": 10.0, "slic_max_iters": 10, "slic_conv_eps": 0.25,
-               "glcm_levels": 32, "glcm_distance": 1, "glcm_angles": [0, 45, 90, 135],
-               "posterior_fraction": 0.5}
+    # the eight fields PipelineConfig.to_json wrote before the median, SLIC,
+    # GLCM and posterior settings became fixed, at the values it wrote
+    REMOVED = {"denoise_radius": 1, "compactness": 10.0, "slic_max_iters": 10,
+               "slic_conv_eps": 0.25, "glcm_levels": 32, "glcm_distance": 1,
+               "glcm_angles": [0, 45, 90, 135], "posterior_fraction": 0.5}
 
     @pytest.mark.parametrize("field", list(REMOVED))
     def test_removed_field_exit_2_before_extraction(
@@ -934,8 +931,8 @@ class TestConfig:
 
     def test_fields_are_the_ones_a_run_sets(self):
         assert list(json.loads(PipelineConfig().to_json())) == [
-            "version", "denoise_radius", "n_segments", "grow_threshold", "svm_c", "svm_gamma",
-            "folds", "seed", "c_exponents", "g_exponents"]
+            "version", "n_segments", "grow_threshold", "svm_c", "svm_gamma", "folds", "seed",
+            "c_exponents", "g_exponents"]
 
     def test_ints_accepted_for_floats(self):
         cfg = PipelineConfig.from_json(

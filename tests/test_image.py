@@ -173,12 +173,12 @@ class TestDenoise:
     def test_impulse_removed(self):
         img = np.zeros((5, 5), dtype=np.uint8)
         img[2, 2] = 255
-        assert image.denoise(img, radius=1)[2, 2] == 0
+        assert image.denoise(img)[2, 2] == 0
 
     def test_matches_brute_force_median(self):
         rng = np.random.default_rng(3)
         img = rng.integers(0, 256, (32, 32), dtype=np.uint8)
-        out = image.denoise(img, radius=1)
+        out = image.denoise(img)
         h, w = img.shape
         for y in range(h):
             for x in range(w):
@@ -190,8 +190,8 @@ class TestDenoise:
                         vals.append(img[yy, xx])
                 assert out[y, x] == sorted(vals)[4], (x, y)
 
-    # radius 1 runs the min/max network, larger radii scipy's rank filter
-    @pytest.mark.parametrize("radius, examples", [(1, 300), (2, 30)])
+    # scipy's rank filter at radius 1 (a 3x3 window) is the network's oracle
+    @pytest.mark.parametrize("radius, examples", [(1, 300)])
     def test_matches_scipy_median_filter(self, radius, examples):
         @given(st.data())
         @settings(max_examples=examples, deadline=None)
@@ -201,26 +201,12 @@ class TestDenoise:
             levels = data.draw(st.sampled_from([2, 4, 256]), label="levels")  # few levels: ties
             vals = data.draw(st.lists(st.integers(0, levels - 1), min_size=h * w, max_size=h * w))
             img = np.array(vals, dtype=np.uint8).reshape(h, w)
-            got = image.denoise(img, radius)
+            got = image.denoise(img)
             assert got.dtype == np.uint8
             expected = ndimage.median_filter(img, size=2 * radius + 1, mode="nearest")
             assert np.array_equal(got, expected)
 
         check()
-
-    def test_radius_at_bound_accepted(self):
-        img = np.full((8, 8), 9, dtype=np.uint8)
-        assert np.array_equal(image.denoise(img, image.MAX_DENOISE_RADIUS), img)
-
-    @pytest.mark.parametrize("radius", [0, image.MAX_DENOISE_RADIUS + 1, 1_000_000])
-    def test_radius_out_of_range_rejected_before_filtering(self, monkeypatch, radius):
-        # the filter's memory grows with the window, so it is never called
-        def never(*args, **kwargs):
-            raise AssertionError("median_filter called")
-
-        monkeypatch.setattr(ndimage, "median_filter", never)
-        with pytest.raises(ValueError, match="radius"):
-            image.denoise(np.zeros((8, 8), dtype=np.uint8), radius)
 
 
 class TestLightness:
